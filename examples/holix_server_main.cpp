@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
   popts.fsync = fsync;
   popts.checkpoint_interval_seconds = checkpoint_interval;
   if (!data_dir.empty() && holix::persist::HasManifest(data_dir)) {
-    // Warm start: snapshot + WAL replay + re-crack at the saved pivots.
+    // Warm start: snapshot + WAL replay + rebuild of the saved pieces.
     // The synthetic load is skipped — the data is whatever was durable.
     persistence =
         std::make_unique<holix::persist::PersistenceManager>(db, popts);

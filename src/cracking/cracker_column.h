@@ -22,6 +22,7 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "cracking/crack_kernels.h"
 #include "cracking/crack_kernels_simd.h"
 #include "cracking/cracker_index.h"
+#include "cracking/multiway_partition.h"
 #include "cracking/parallel_crack.h"
 #include "obs/metrics.h"
 #include "storage/pending_updates.h"
@@ -382,6 +384,69 @@ class CrackerColumn {
                      pending_.TakeDeletesAtLeast(low));
   }
 
+  /// Warm-restore primitive: rebuilds a column that has no boundaries
+  /// directly in the pieces of \p pivots (strictly ascending under the
+  /// KeyTraits order), in one histogram pass and one scatter pass
+  /// (MultiwayPartition, O(N log P)), then inserts the P boundaries at the
+  /// prefix-sum positions. The input rows are \p base (row i carries rowid
+  /// i), then the column's own rows, then every pending insert. Every
+  /// pending delete then removes one input row with the same (value,
+  /// rowid); a delete of an absent row is ignored. That is the Ripple
+  /// merge's outcome, applied in bulk. The domain is recomputed over all
+  /// input rows, deleted ones included, since Ripple merges never shrink
+  /// it. Rows keep their input order inside a piece, so the layout is the
+  /// same whether or not \p pool lends threads.
+  /// Throws std::invalid_argument on unsorted pivots and std::logic_error
+  /// on a column with boundaries or aligned payloads.
+  void RestorePieces(const std::vector<T>& pivots, std::span<const T> base = {},
+                     ThreadPool* pool = nullptr) {
+    for (size_t i = 1; i < pivots.size(); ++i) {
+      if (!KeyTraits<T>::Less(pivots[i - 1], pivots[i])) {
+        throw std::invalid_argument("RestorePieces: pivots not ascending");
+      }
+    }
+    WriteGuard column_guard(column_latch_);
+    std::unique_lock<std::shared_mutex> lk(tree_mu_);
+    if (index_.num_boundaries() != 0 || !payloads_.empty()) {
+      throw std::logic_error(
+          "RestorePieces requires a column without boundaries or payloads");
+    }
+    const auto ins = pending_.TakeInsertsAtLeast(KeyTraits<T>::Lowest());
+    const auto del = pending_.TakeDeletesAtLeast(KeyTraits<T>::Lowest());
+    std::vector<T> ins_values(ins.size());
+    std::vector<RowId> ins_rowids(ins.size());
+    for (size_t i = 0; i < ins.size(); ++i) {
+      ins_values[i] = ins[i].first;
+      ins_rowids[i] = ins[i].second;
+    }
+    const std::vector<RowRun<T>> runs = {
+        {base.data(), nullptr, base.size()},
+        {values_.data(), rowids_.data(), values_.size()},
+        {ins_values.data(), ins_rowids.data(), ins_values.size()}};
+    const size_t rows = base.size() + values_.size() + ins.size();
+    const std::vector<size_t> dead = ResolveDeletes(runs, del);
+
+    std::vector<T> values(rows - dead.size());
+    std::vector<RowId> rowids(values.size());
+    const MultiwayPartitionResult<T> part = MultiwayPartition(
+        runs, dead, pivots, values.data(), rowids.data(), pool);
+    values_ = std::move(values);
+    rowids_ = std::move(rowids);
+    row_count_.store(values_.size(), std::memory_order_relaxed);
+    if (rows != 0) {
+      min_value_.store(KeyTraits<T>::Canonical(part.min_value),
+                       std::memory_order_relaxed);
+      max_value_.store(KeyTraits<T>::Canonical(part.max_value),
+                       std::memory_order_relaxed);
+    }
+    for (size_t b = 0; b < pivots.size(); ++b) {
+      index_.Insert(pivots[b], part.cuts[b]);
+    }
+    num_boundaries_.store(index_.num_boundaries(), std::memory_order_relaxed);
+    CountPiecesCreated(static_cast<uint32_t>(pivots.size()));
+    CountMerged(ins.size(), del.size());
+  }
+
   /// Piece-resolution cardinality estimate for [low, high) — or
   /// [low, high] with \p closed_high — used by the multi-predicate planner
   /// to order conjuncts by selectivity. Never cracks and never merges
@@ -447,8 +512,8 @@ class CrackerColumn {
   /// Boundary (value, position) pairs in ascending value order — the
   /// warm-start payload a checkpoint persists. A boundary's position is a
   /// pure function of the column multiset (#{x : x < value}), so
-  /// re-cracking a restored column at these values reproduces the
-  /// boundaries bit-identically.
+  /// RestorePieces at these values reproduces the boundaries
+  /// bit-identically.
   std::vector<std::pair<T, size_t>> ExportBoundaries() const {
     ReadGuard column_guard(column_latch_);
     std::shared_lock<std::shared_mutex> lk(tree_mu_);
@@ -512,14 +577,72 @@ class CrackerColumn {
     auto nodes = index_.CollectBoundaries();
     for (const auto& [v, rid] : ins) RippleInsert(nodes, v, rid);
     for (const auto& [v, rid] : del) RippleDelete(nodes, v, rid);
-    stats_.merged_inserts.fetch_add(ins.size(), std::memory_order_relaxed);
-    stats_.merged_deletes.fetch_add(del.size(), std::memory_order_relaxed);
+    CountMerged(ins.size(), del.size());
+  }
+
+  void CountMerged(size_t inserts, size_t deletes) {
+    stats_.merged_inserts.fetch_add(inserts, std::memory_order_relaxed);
+    stats_.merged_deletes.fetch_add(deletes, std::memory_order_relaxed);
     static obs::Counter& ripple_ins = obs::MetricsRegistry::Global().GetCounter(
         "holix_ripple_merged_inserts_total");
     static obs::Counter& ripple_del = obs::MetricsRegistry::Global().GetCounter(
         "holix_ripple_merged_deletes_total");
-    ripple_ins.Inc(ins.size());
-    ripple_del.Inc(del.size());
+    ripple_ins.Inc(inserts);
+    ripple_del.Inc(deletes);
+  }
+
+  /// Global positions (ascending, counted through \p runs in order) of the
+  /// rows the deletes \p del remove: each delete takes one not yet taken
+  /// row with its exact (value, rowid), and one that finds none is ignored.
+  /// Rows of a run without explicit rowids are found by index, so a base
+  /// image costs O(1) per delete; runs with rowids are scanned once
+  /// against the deletes sorted by rowid.
+  static std::vector<size_t> ResolveDeletes(
+      const std::vector<RowRun<T>>& runs,
+      std::vector<std::pair<T, RowId>> del) {
+    std::vector<size_t> dead;
+    if (del.empty()) return dead;
+    // Which of several deletes of one rowid takes a row does not change
+    // the outcome, so their order after the sort does not matter.
+    std::sort(del.begin(), del.end(), [](const auto& a, const auto& b) {
+      return a.second < b.second;
+    });
+    std::vector<uint8_t> used(del.size(), 0);
+    size_t unused = del.size();
+    size_t global = 0;
+    for (const RowRun<T>& run : runs) {
+      if (run.rowids == nullptr) {
+        size_t last = run.rows;  // last index taken in this run
+        for (size_t d = 0; d < del.size(); ++d) {
+          const RowId i = del[d].second;
+          if (used[d] || i >= run.rows) continue;
+          if (i != last && KeyTraits<T>::Eq(run.values[i], del[d].first)) {
+            used[d] = 1;
+            --unused;
+            dead.push_back(global + i);
+            last = i;
+          }
+        }
+      } else {
+        for (size_t i = 0; i < run.rows && unused != 0; ++i) {
+          const RowId rid = run.rowids[i];
+          auto it = std::lower_bound(
+              del.begin(), del.end(), rid,
+              [](const auto& e, RowId r) { return e.second < r; });
+          for (; it != del.end() && it->second == rid; ++it) {
+            const size_t d = static_cast<size_t>(it - del.begin());
+            if (!used[d] && KeyTraits<T>::Eq(run.values[i], it->first)) {
+              used[d] = 1;
+              --unused;
+              dead.push_back(global + i);
+              break;
+            }
+          }
+        }
+      }
+      global += run.rows;
+    }
+    return dead;
   }
 
   void InitDomain() {

@@ -306,11 +306,18 @@ class Database {
   void ApplyLoggedDelete(const std::string& table, const std::string& column,
                          ValueType type, uint64_t rank, RowId rid);
 
-  /// Recovery step 3: force-merges every restored column, re-cracks each
-  /// cracker at its saved pivots (bit-identical boundaries — a boundary's
+  /// Recovery step 3: rebuilds every restored cracker in its saved pieces
+  /// with one multi-way partition of the base image plus the queued
+  /// updates (CrackerColumn::RestorePieces, O(N log P) per column, on up
+  /// to total_cores threads; bit-identical boundaries, since a boundary's
   /// position is a pure function of the column multiset), restores the
-  /// life stats and the holistic store membership, and verifies the
-  /// cracker invariants. Throws std::runtime_error on invariant failure.
+  /// life stats, verifies the cracker invariants, and restores the
+  /// holistic store membership. Observes the restore_pieces,
+  /// check_invariants and register stages of
+  /// holix_recovery_stage_seconds. Until it returns, restored crackers
+  /// hold no rows, so the database must not answer queries between
+  /// BeginRestore and FinishRestore. Throws std::runtime_error on
+  /// out-of-order pivots or invariant failure.
   void FinishRestore(const DurableDatabaseState& state);
 
   // --- Introspection ------------------------------------------------------

@@ -47,8 +47,8 @@ struct DurableColumnState {
 
   /// Cracker piece boundaries (pivot ranks, in-order). Positions are not
   /// stored: a boundary's position is the number of column values below
-  /// its pivot, which recovery reproduces exactly by re-cracking the
-  /// restored multiset at each pivot.
+  /// its pivot, which recovery reproduces exactly when it partitions the
+  /// restored multiset at the pivots.
   bool has_cracker = false;
   std::vector<uint64_t> pivot_ranks;
 

@@ -170,6 +170,12 @@ void RecordQueryDone(QueryTrace& t, const char* mode_name) {
   reg.traces().Push(t);
 }
 
+Histogram& RecoveryStageSeconds(const std::string& stage) {
+  return MetricsRegistry::Global().GetHistogram(
+      "holix_recovery_stage_seconds{stage=\"" + stage + "\"}",
+      {0.001, 0.01, 0.1, 1.0, 10.0, 60.0});
+}
+
 // --- Formatters --------------------------------------------------------------
 
 namespace {

@@ -74,6 +74,7 @@
 /// | holix_recovery_columns_total                | counter   | columns restored from snapshot |
 /// | holix_recovery_pivots_total                 | counter   | cracker pivots re-applied at warm start |
 /// | holix_recovery_seconds                      | histogram | wall time per recovery |
+/// | holix_recovery_stage_seconds{stage="..."}   | histogram | one recovery stage: snapshot_read, begin_restore, wal_replay, restore_pieces, check_invariants, register |
 
 #pragma once
 
@@ -325,6 +326,10 @@ inline void TraceAddPiecesCreated(uint32_t n) {
 /// Finalizes a query: per-mode counter + latency histogram, slow flag and
 /// counter, trace-ring push. \p mode_name is the stable ExecMode label.
 void RecordQueryDone(QueryTrace& t, const char* mode_name);
+
+/// `holix_recovery_stage_seconds{stage="<stage>"}`: wall time of one
+/// recovery stage, observed once per recovery.
+Histogram& RecoveryStageSeconds(const std::string& stage);
 
 // --- Formatters --------------------------------------------------------------
 

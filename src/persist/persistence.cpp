@@ -141,10 +141,20 @@ uint64_t PersistenceManager::Checkpoint() {
 
 void PersistenceManager::Recover() {
   const auto start = std::chrono::steady_clock::now();
+  auto stage_start = start;
+  // Observes one stage's wall time and starts the next stage's clock.
+  auto end_stage = [&](const char* stage) {
+    const auto now = std::chrono::steady_clock::now();
+    obs::RecoveryStageSeconds(stage).Observe(
+        std::chrono::duration<double>(now - stage_start).count());
+    stage_start = now;
+  };
   const Manifest man = ReadManifest(opts_.data_dir);
   DurableDatabaseState state = ReadSnapshot(opts_.data_dir, man);
   snapshot_epoch_ = man.snapshot_epoch;
+  end_stage("snapshot_read");
   db_.BeginRestore(state);
+  end_stage("begin_restore");
 
   // Replay every WAL epoch the manifest still covers, in epoch order.
   // Records at or below the checkpoint LSN are already in the snapshot; a
@@ -168,8 +178,9 @@ void PersistenceManager::Recover() {
     }
   }
   ReplayedRecords().Inc(replayed);
+  end_stage("wal_replay");
 
-  db_.FinishRestore(state);
+  db_.FinishRestore(state);  // observes restore_pieces .. register itself
   recovered_ = true;
   recovered_lsn_ = last;
   last_checkpoint_lsn_.store(man.last_lsn, std::memory_order_relaxed);

@@ -15,13 +15,21 @@
 ///     pm.Checkpoint();                         // make the load durable
 ///   }
 ///
-/// Recovery order (the RecoveryManager role): read manifest → read + CRC
-/// column snapshots → restore base columns and pending registries →
-/// replay WAL epochs ≥ the manifest's (records ≤ checkpoint LSN skipped,
-/// torn tails cut) → force-merge → re-crack each cracker at its saved
-/// pivots (bit-identical piece boundaries, since a boundary's position is
-/// a pure function of the column multiset) → restore stats + holistic
-/// store membership → verify invariants.
+/// Recovery order (the RecoveryManager role), with the stage each step
+/// reports to `holix_recovery_stage_seconds{stage="..."}`:
+///  1. snapshot_read: read the manifest and every column file, one CRC
+///     pass per file;
+///  2. begin_restore: restore base columns and queue the pending
+///     registries;
+///  3. wal_replay: replay WAL epochs ≥ the manifest's (records ≤ the
+///     checkpoint LSN skipped, torn tails cut) into the queues;
+///  4. restore_pieces: rebuild each cracker in its saved pieces with one
+///     multi-way partition of the base image plus the queued updates
+///     (O(N log P), on up to total_cores threads; bit-identical piece
+///     boundaries, since a boundary's position is a pure function of the
+///     column multiset) and restore its stats;
+///  5. check_invariants: verify every piece holds only its value range;
+///  6. register: restore holistic store membership.
 ///
 /// Destroy the manager before the Database; the destructor detaches the
 /// hook and flushes the WAL.

@@ -95,6 +95,17 @@ class ByteReader {
     return s;
   }
 
+  /// Reads a u64 (or u32) element count and checks, before anything is
+  /// allocated, that \p count elements of at least \p min_bytes each fit
+  /// in the bytes that remain: a lying count in a CRC-valid file must read
+  /// as truncation, not drive a huge allocation.
+  size_t GetCount64(size_t min_bytes) {
+    return CheckCount(GetU64(), min_bytes);
+  }
+  size_t GetCount32(size_t min_bytes) {
+    return CheckCount(GetU32(), min_bytes);
+  }
+
   size_t remaining() const { return static_cast<size_t>(end_ - p_); }
   bool AtEnd() const { return p_ == end_; }
 
@@ -103,6 +114,13 @@ class ByteReader {
     if (static_cast<size_t>(end_ - p_) < n) {
       throw std::out_of_range("persisted record truncated");
     }
+  }
+
+  size_t CheckCount(uint64_t count, size_t min_bytes) const {
+    if (count > remaining() / min_bytes) {
+      throw std::out_of_range("persisted count exceeds its record");
+    }
+    return static_cast<size_t>(count);
   }
 
   const uint8_t* p_;

@@ -34,17 +34,21 @@ obs::Counter& CheckpointBytes() {
   return c;
 }
 
+constexpr size_t kHeaderSize = 8 + 4 + 4 + 8;
+
 /// Writes `magic | version | crc | body_len | body` to `path.tmp`, fsyncs,
 /// renames into place. Throws on failure, leaving at most a .tmp behind.
-void WriteFramedFile(const std::string& path, const char magic[8],
-                     const std::vector<uint8_t>& body) {
+/// \return the body's CRC (the one the header carries).
+uint32_t WriteFramedFile(const std::string& path, const char magic[8],
+                         const std::vector<uint8_t>& body) {
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) ThrowErrno("snapshot open " + tmp);
+  const uint32_t crc = Crc32c(body.data(), body.size());
   ByteWriter header;
   header.bytes().insert(header.bytes().end(), magic, magic + 8);
   header.PutU32(kSnapshotVersion);
-  header.PutU32(Crc32c(body.data(), body.size()));
+  header.PutU32(crc);
   header.PutU64(body.size());
   bool ok = io::FullWrite(fd, header.bytes().data(), header.size()) &&
             io::FullWrite(fd, body.data(), body.size()) && io::Fsync(fd);
@@ -62,11 +66,21 @@ void WriteFramedFile(const std::string& path, const char magic[8],
     ThrowErrno("snapshot rename " + tmp);
   }
   CheckpointBytes().Inc(header.size() + body.size());
+  return crc;
 }
 
-/// Reads a framed file, validating magic, version, and CRC.
-std::vector<uint8_t> ReadFramedFile(const std::string& path,
-                                    const char magic[8]) {
+/// A framed file read whole and verified: the header's CRC, checked
+/// against the body, and the body as a view past the header.
+struct FramedFile {
+  std::vector<uint8_t> data;
+  uint32_t crc = 0;
+
+  const uint8_t* body() const { return data.data() + kHeaderSize; }
+  size_t body_size() const { return data.size() - kHeaderSize; }
+};
+
+/// Reads a framed file, validating magic, version, length, and CRC.
+FramedFile ReadFramedFile(const std::string& path, const char magic[8]) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) ThrowErrno("snapshot open " + path);
   struct stat st {};
@@ -91,8 +105,8 @@ std::vector<uint8_t> ReadFramedFile(const std::string& path,
     off += static_cast<size_t>(n);
   }
   ::close(fd);
+  data.resize(off);
 
-  constexpr size_t kHeaderSize = 8 + 4 + 4 + 8;
   if (off < kHeaderSize || std::memcmp(data.data(), magic, 8) != 0) {
     throw std::runtime_error(path + ": bad magic");
   }
@@ -109,11 +123,10 @@ std::vector<uint8_t> ReadFramedFile(const std::string& path,
                              " bytes, expected " +
                              std::to_string(kHeaderSize + body_len) + ")");
   }
-  std::vector<uint8_t> body(data.begin() + kHeaderSize, data.begin() + off);
-  if (Crc32c(body.data(), body.size()) != crc) {
+  if (Crc32c(data.data() + kHeaderSize, body_len) != crc) {
     throw std::runtime_error(path + ": checksum mismatch");
   }
-  return body;
+  return {std::move(data), crc};
 }
 
 std::vector<uint8_t> EncodeColumn(const DurableColumnState& cs) {
@@ -141,29 +154,29 @@ std::vector<uint8_t> EncodeColumn(const DurableColumnState& cs) {
   return std::move(w.bytes());
 }
 
-DurableColumnState DecodeColumn(const std::vector<uint8_t>& body,
+DurableColumnState DecodeColumn(const FramedFile& file,
                                 const std::string& path) {
   try {
-    ByteReader r(body.data(), body.size());
+    ByteReader r(file.body(), file.body_size());
     DurableColumnState cs;
     cs.table = r.GetString();
     cs.column = r.GetString();
     cs.type = static_cast<ValueType>(r.GetU8());
     cs.has_cracker = r.GetU8() != 0;
     cs.store_state = r.GetU8();
-    cs.base_ranks.resize(r.GetU64());
+    cs.base_ranks.resize(r.GetCount64(8));
     for (uint64_t& v : cs.base_ranks) v = r.GetU64();
-    cs.appended.resize(r.GetU64());
+    cs.appended.resize(r.GetCount64(16));
     for (auto& [rid, rank] : cs.appended) {
       rid = r.GetU64();
       rank = r.GetU64();
     }
-    cs.deleted_base.resize(r.GetU64());
+    cs.deleted_base.resize(r.GetCount64(16));
     for (auto& [rid, rank] : cs.deleted_base) {
       rid = r.GetU64();
       rank = r.GetU64();
     }
-    cs.pivot_ranks.resize(r.GetU64());
+    cs.pivot_ranks.resize(r.GetCount64(8));
     for (uint64_t& v : cs.pivot_ranks) v = r.GetU64();
     for (uint64_t& s : cs.stats) s = r.GetU64();
     if (!r.AtEnd()) throw std::out_of_range("trailing bytes");
@@ -208,9 +221,8 @@ void WriteSnapshot(const std::string& dir, uint64_t epoch, uint64_t wal_epoch,
   for (const DurableColumnState& cs : state.columns) {
     const std::vector<uint8_t> body = EncodeColumn(cs);
     const std::string path = ColumnFileName(snap_dir, cs.table, cs.column);
-    WriteFramedFile(path, kColMagic, body);
-    files.push_back({cs.table, cs.column, cs.type,
-                     Crc32c(body.data(), body.size()), body.size()});
+    const uint32_t crc = WriteFramedFile(path, kColMagic, body);
+    files.push_back({cs.table, cs.column, cs.type, crc, body.size()});
   }
   if (!io::FsyncDir(snap_dir)) ThrowErrno("snapshot fsync " + snap_dir);
 
@@ -240,22 +252,24 @@ void WriteSnapshot(const std::string& dir, uint64_t epoch, uint64_t wal_epoch,
 
 Manifest ReadManifest(const std::string& dir) {
   const std::string path = ManifestPath(dir);
-  const std::vector<uint8_t> body = ReadFramedFile(path, kManMagic);
+  const FramedFile file = ReadFramedFile(path, kManMagic);
   try {
-    ByteReader r(body.data(), body.size());
+    ByteReader r(file.body(), file.body_size());
     Manifest man;
     man.snapshot_epoch = r.GetU64();
     man.wal_epoch = r.GetU64();
     man.last_lsn = r.GetU64();
     man.next_rowid = r.GetU64();
-    man.tables.resize(r.GetU32());
+    // Minimum encoded sizes: a table is name + u64 rows + u32 column count,
+    // a column name its u16 length, a file entry two names + u8 + u32 + u64.
+    man.tables.resize(r.GetCount32(2 + 8 + 4));
     for (DurableTableState& t : man.tables) {
       t.name = r.GetString();
       t.base_rows = r.GetU64();
-      t.columns.resize(r.GetU32());
+      t.columns.resize(r.GetCount32(2));
       for (std::string& c : t.columns) c = r.GetString();
     }
-    man.columns.resize(r.GetU32());
+    man.columns.resize(r.GetCount32(2 + 2 + 1 + 4 + 8));
     for (ManifestColumnFile& f : man.columns) {
       f.table = r.GetString();
       f.column = r.GetString();
@@ -280,12 +294,13 @@ DurableDatabaseState ReadSnapshot(const std::string& dir,
   state.columns.reserve(manifest.columns.size());
   for (const ManifestColumnFile& f : manifest.columns) {
     const std::string path = ColumnFileName(snap_dir, f.table, f.column);
-    const std::vector<uint8_t> body = ReadFramedFile(path, kColMagic);
-    if (body.size() != f.bytes ||
-        Crc32c(body.data(), body.size()) != f.crc) {
+    // The header CRC was just verified against the body, so comparing it
+    // with the manifest's checks the body against the manifest too.
+    const FramedFile file = ReadFramedFile(path, kColMagic);
+    if (file.body_size() != f.bytes || file.crc != f.crc) {
       throw std::runtime_error(path + ": does not match manifest checksum");
     }
-    DurableColumnState cs = DecodeColumn(body, path);
+    DurableColumnState cs = DecodeColumn(file, path);
     if (cs.table != f.table || cs.column != f.column || cs.type != f.type) {
       throw std::runtime_error(path + ": identity mismatch vs manifest");
     }

@@ -4,13 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "cracking/cracker_column.h"
 #include "cracking/cracker_index.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace holix {
 namespace {
@@ -100,6 +105,233 @@ TYPED_TEST(TypedCrackerTest, RippleInsertTyped) {
                           static_cast<TypeParam>(310));
   EXPECT_EQ(col.SelectRange(300, 310).size(), before + 1);
   EXPECT_TRUE(col.CheckInvariants());
+}
+
+// --- Warm restore: one-pass RestorePieces against the re-crack path ------
+
+/// The input of one restore: base rows (rowid = index), queued updates and
+/// the saved pivots (ascending).
+template <typename T>
+struct RestoreCase {
+  std::vector<T> base;
+  std::vector<std::pair<T, RowId>> inserts;
+  std::vector<std::pair<T, RowId>> deletes;
+  std::vector<T> pivots;
+};
+
+template <typename T>
+void QueueUpdates(CrackerColumn<T>& col, const RestoreCase<T>& c) {
+  for (const auto& [v, rid] : c.inserts) col.pending().AddInsert(v, rid);
+  for (const auto& [v, rid] : c.deletes) col.pending().AddDelete(v, rid);
+}
+
+/// The re-crack restore: copy the base, Ripple-merge every queued update,
+/// then crack serially at each pivot in ascending order.
+template <typename T>
+std::unique_ptr<CrackerColumn<T>> RestoreByCracking(const RestoreCase<T>& c) {
+  auto col = std::make_unique<CrackerColumn<T>>("a", c.base);
+  QueueUpdates(*col, c);
+  col->MergePendingAtLeast(KeyTraits<T>::Lowest());
+  for (T w : c.pivots) col->CrackAtBlocking(w);
+  return col;
+}
+
+/// The one-pass restore of an empty cracker from the base image.
+template <typename T>
+std::unique_ptr<CrackerColumn<T>> RestoreInOnePass(const RestoreCase<T>& c,
+                                                   ThreadPool* pool) {
+  auto col = std::make_unique<CrackerColumn<T>>("a", std::vector<T>{},
+                                                std::vector<RowId>{});
+  QueueUpdates(*col, c);
+  col->RestorePieces(c.pivots, c.base, pool);
+  return col;
+}
+
+/// Boundaries as (rank, position): ranks compare NaN keys by value.
+template <typename T>
+std::vector<std::pair<uint64_t, size_t>> Boundaries(
+    const CrackerColumn<T>& col) {
+  std::vector<std::pair<uint64_t, size_t>> out;
+  for (const auto& [v, pos] : col.ExportBoundaries()) {
+    out.emplace_back(KeyTraits<T>::ToRank(v), pos);
+  }
+  return out;
+}
+
+/// Every piece's rows as a sorted multiset of (rank, rowid).
+template <typename T>
+std::vector<std::vector<std::pair<uint64_t, RowId>>> PieceMultisets(
+    const CrackerColumn<T>& col) {
+  std::vector<std::vector<std::pair<uint64_t, RowId>>> out;
+  size_t pos = 0;
+  for (size_t len : col.PieceSizes()) {
+    std::vector<std::pair<uint64_t, RowId>> piece;
+    for (size_t i = pos; i < pos + len; ++i) {
+      piece.emplace_back(KeyTraits<T>::ToRank(col.ValueAtUnsafe(i)),
+                         col.RowIdAtUnsafe(i));
+    }
+    std::sort(piece.begin(), piece.end());
+    out.push_back(std::move(piece));
+    pos += len;
+  }
+  return out;
+}
+
+/// The physical layout, byte for byte: (value bits, rowid) by position.
+template <typename T>
+std::vector<std::pair<uint64_t, RowId>> Layout(const CrackerColumn<T>& col) {
+  std::vector<std::pair<uint64_t, RowId>> out(col.size());
+  for (size_t i = 0; i < col.size(); ++i) {
+    const T v = col.ValueAtUnsafe(i);
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(T));
+    out[i] = {bits, col.RowIdAtUnsafe(i)};
+  }
+  return out;
+}
+
+template <typename T>
+void ExpectRestoresAgree(const RestoreCase<T>& c) {
+  const auto cracked = RestoreByCracking(c);
+  ThreadPool pool(3);
+  const auto serial = RestoreInOnePass(c, nullptr);
+  const auto parallel = RestoreInOnePass(c, &pool);
+  ASSERT_TRUE(cracked->CheckInvariants());
+  ASSERT_TRUE(serial->CheckInvariants());
+  ASSERT_TRUE(parallel->CheckInvariants());
+  ASSERT_EQ(serial->size(), cracked->size());
+  EXPECT_EQ(Boundaries(*serial), Boundaries(*cracked));
+  EXPECT_EQ(PieceMultisets(*serial), PieceMultisets(*cracked));
+  EXPECT_EQ(KeyTraits<T>::ToRank(serial->MinValue()),
+            KeyTraits<T>::ToRank(cracked->MinValue()));
+  EXPECT_EQ(KeyTraits<T>::ToRank(serial->MaxValue()),
+            KeyTraits<T>::ToRank(cracked->MaxValue()));
+  // One thread or four: the same bytes.
+  EXPECT_EQ(Layout(*parallel), Layout(*serial));
+  EXPECT_EQ(Boundaries(*parallel), Boundaries(*serial));
+  EXPECT_EQ(serial->pending().PendingInserts(), 0u);
+  EXPECT_EQ(serial->pending().PendingDeletes(), 0u);
+  EXPECT_EQ(serial->stats().merged_inserts.load(), c.inserts.size());
+  EXPECT_EQ(serial->stats().merged_deletes.load(), c.deletes.size());
+}
+
+/// Base of \p n uniform rows, inserts appended after it, and deletes of
+/// base rows, of appended rows and of absent rows (a wrong value for a
+/// live rowid, an unknown rowid, and a repeated delete).
+template <typename T>
+RestoreCase<T> UpdatedCase(size_t n, int64_t domain, uint64_t seed) {
+  RestoreCase<T> c;
+  Rng rng(seed);
+  c.base.resize(n);
+  for (T& x : c.base) x = static_cast<T>(rng.Below(domain));
+  for (size_t k = 0; k < 64; ++k) {
+    c.inserts.emplace_back(static_cast<T>(rng.Below(domain)), n + k);
+  }
+  for (size_t k = 0; k < 16; ++k) {
+    const RowId r = rng.Below(n);
+    c.deletes.emplace_back(c.base[r], r);
+  }
+  c.deletes.push_back(c.deletes.front());                 // repeated
+  c.deletes.emplace_back(c.inserts[5].first, n + 5);      // appended
+  c.deletes.emplace_back(c.inserts[9].first, n + 9);      // appended
+  c.deletes.emplace_back(static_cast<T>(domain + 3), 1);  // wrong value
+  c.deletes.emplace_back(c.base[2], n + 1000);            // unknown rowid
+  return c;
+}
+
+template <typename T>
+std::vector<T> SortedDistinctPivots(size_t count, int64_t domain,
+                                    uint64_t seed) {
+  Rng rng(seed);
+  std::vector<T> p;
+  for (size_t i = 0; i < count; ++i) {
+    p.push_back(static_cast<T>(rng.Below(domain)));
+  }
+  std::sort(p.begin(), p.end());
+  p.erase(std::unique(p.begin(), p.end()), p.end());
+  return p;
+}
+
+TYPED_TEST(TypedCrackerTest, RestorePiecesWithoutPivotsAppliesUpdates) {
+  ExpectRestoresAgree(UpdatedCase<TypeParam>(5000, 1 << 16, 11));
+}
+
+TYPED_TEST(TypedCrackerTest, RestorePiecesAtOnePivot) {
+  auto c = UpdatedCase<TypeParam>(5000, 1 << 16, 12);
+  c.pivots = {static_cast<TypeParam>(1 << 15)};
+  ExpectRestoresAgree(c);
+}
+
+TYPED_TEST(TypedCrackerTest, RestorePiecesAtManyPivotsAcrossMorsels) {
+  // Over two 64Ki-row morsels, so the parallel passes really split work.
+  auto c = UpdatedCase<TypeParam>(140000, 1 << 20, 13);
+  c.pivots = SortedDistinctPivots<TypeParam>(256, 1 << 20, 14);
+  ExpectRestoresAgree(c);
+}
+
+TYPED_TEST(TypedCrackerTest, RestorePiecesWithPivotsOutsideTheDomain) {
+  using KT = KeyTraits<TypeParam>;
+  auto c = UpdatedCase<TypeParam>(3000, 1000, 15);
+  c.pivots = {KT::Lowest(), static_cast<TypeParam>(-5),
+              static_cast<TypeParam>(500), static_cast<TypeParam>(5000),
+              KT::Highest()};
+  ExpectRestoresAgree(c);
+}
+
+TYPED_TEST(TypedCrackerTest, RestorePiecesOfAnAllEqualColumn) {
+  RestoreCase<TypeParam> c;
+  c.base.assign(4000, static_cast<TypeParam>(7));
+  c.inserts = {{static_cast<TypeParam>(7), 4000},
+               {static_cast<TypeParam>(8), 4001}};
+  c.deletes = {{static_cast<TypeParam>(7), 17},
+               {static_cast<TypeParam>(7), 4000}};
+  c.pivots = {static_cast<TypeParam>(5), static_cast<TypeParam>(7),
+              static_cast<TypeParam>(8)};
+  ExpectRestoresAgree(c);
+}
+
+TYPED_TEST(TypedCrackerTest, RestorePiecesOfAnEmptyBase) {
+  RestoreCase<TypeParam> c;
+  c.inserts = {{static_cast<TypeParam>(3), 0}, {static_cast<TypeParam>(1), 1}};
+  c.deletes = {{static_cast<TypeParam>(3), 0}, {static_cast<TypeParam>(9), 7}};
+  c.pivots = {static_cast<TypeParam>(2), static_cast<TypeParam>(4)};
+  ExpectRestoresAgree(c);
+  RestoreCase<TypeParam> nothing;
+  nothing.pivots = c.pivots;
+  ExpectRestoresAgree(nothing);
+}
+
+TYPED_TEST(TypedCrackerTest, RestorePiecesRejectsBadPreconditions) {
+  CrackerColumn<TypeParam> col("a", this->MakeUniform(1000, 1000, 16));
+  const std::vector<TypeParam> unsorted = {static_cast<TypeParam>(5),
+                                           static_cast<TypeParam>(3)};
+  EXPECT_THROW(col.RestorePieces(unsorted), std::invalid_argument);
+  col.SelectRange(100, 200);
+  EXPECT_THROW(col.RestorePieces({static_cast<TypeParam>(50)}),
+               std::logic_error);
+}
+
+TEST(DoubleCrackerRestore, NaNNegZeroAndInfinitiesRestoreLikeCracks) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  RestoreCase<double> c;
+  Rng rng(17);
+  for (size_t i = 0; i < 3000; ++i) {
+    switch (i % 7) {
+      case 0: c.base.push_back(nan); break;
+      case 1: c.base.push_back(-0.0); break;
+      case 2: c.base.push_back(kInf); break;
+      case 3: c.base.push_back(-kInf); break;
+      default: c.base.push_back(static_cast<double>(rng.Below(1000)) - 500.25);
+    }
+  }
+  c.inserts = {{nan, 3000}, {0.0, 3001}, {-kInf, 3002}, {-0.0, 3003}};
+  c.deletes = {{nan, 0},  {0.0, 1},     {kInf, 2},   {-kInf, 3},
+               {nan, 3000}, {-0.0, 3001}, {nan, 4}};  // row 4 holds a number
+  c.pivots = {-kInf, -100.5, 0.0, 250.0, kInf, nan};
+  ExpectRestoresAgree(c);
+  c.pivots = {-0.0};
+  ExpectRestoresAgree(c);
 }
 
 // --- double-only total-order semantics at the cracking layer -------------

@@ -8,16 +8,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/database.h"
+#include "obs/metrics.h"
 #include "persist/checksum.h"
 #include "persist/io_shim.h"
 #include "persist/persistence.h"
@@ -49,6 +56,11 @@ PersistOptions DirOptions(const std::filesystem::path& dir) {
 
 class PersistTest : public test::TempDirTest {};
 
+/// The cracker of column r.a, or nullptr when none was built.
+std::shared_ptr<CrackerColumn<int64_t>> CrackerOf(Database& db) {
+  return db.Resolve("r", "a").entry()->runtime<int64_t>().cracker.load();
+}
+
 // --- Primitives -----------------------------------------------------------
 
 TEST(Checksum, Crc32cKnownAnswer) {
@@ -58,6 +70,51 @@ TEST(Checksum, Crc32cKnownAnswer) {
   // Incremental == one-shot.
   const uint32_t head = Crc32c("1234", 4);
   EXPECT_EQ(Crc32c("56789", 5, head), 0xE3069283u);
+}
+
+using Crc32cFn = uint32_t (*)(const void*, size_t, uint32_t);
+
+/// Every CRC32C implementation this build and CPU can run.
+std::vector<std::pair<std::string, Crc32cFn>> Crc32cImplementations() {
+  std::vector<std::pair<std::string, Crc32cFn>> out = {
+      {"portable", &Crc32cPortable}};
+#if HOLIX_CRC32C_X86
+  if (HasHardwareCrc32c()) out.emplace_back("sse4.2", &Crc32cSse42);
+#endif
+  return out;
+}
+
+TEST(Checksum, EveryImplementationGivesTheKnownAnswer) {
+  for (const auto& [name, crc] : Crc32cImplementations()) {
+    EXPECT_EQ(crc("123456789", 9, 0), 0xE3069283u) << name;
+    EXPECT_EQ(crc("", 0, 0), 0u) << name;
+    EXPECT_EQ(crc("56789", 5, crc("1234", 4, 0)), 0xE3069283u) << name;
+  }
+}
+
+TEST(Checksum, HardwareMatchesPortableOnRandomInputs) {
+#if HOLIX_CRC32C_X86
+  if (!HasHardwareCrc32c()) GTEST_SKIP() << "CPU lacks the SSE4.2 crc32";
+  Rng rng(99);
+  std::vector<uint8_t> buf(4096 + 16);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Below(256));
+  for (size_t len = 0; len <= 4096; ++len) {
+    // Unaligned starts, a random seed, and a chained split at a random
+    // point, all against the one-shot portable answer.
+    const uint8_t* p = buf.data() + rng.Below(16);
+    const uint32_t seed = static_cast<uint32_t>(rng.Next());
+    const uint32_t want = Crc32cPortable(p, len, seed);
+    ASSERT_EQ(Crc32cSse42(p, len, seed), want) << "len " << len;
+    const size_t cut = rng.Below(len + 1);
+    ASSERT_EQ(Crc32cSse42(p + cut, len - cut, Crc32cSse42(p, cut, seed)), want)
+        << "len " << len << " cut " << cut;
+    ASSERT_EQ(Crc32cPortable(p + cut, len - cut, Crc32cPortable(p, cut, seed)),
+              want)
+        << "len " << len << " cut " << cut;
+  }
+#else
+  GTEST_SKIP() << "no hardware CRC32C path on this architecture";
+#endif
 }
 
 TEST(RankImages, NastyDoublesRoundTripLosslessly) {
@@ -242,6 +299,110 @@ TEST_F(PersistTest, CorruptColumnFileFailsItsCrcCheck) {
                std::runtime_error);
 }
 
+template <typename U>
+void PutLittleEndian(uint8_t* at, U v) {
+  for (size_t i = 0; i < sizeof(U); ++i) {
+    at[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+uint32_t GetLittleEndian32(const uint8_t* at) {
+  uint32_t v = 0;
+  for (size_t i = 0; i < 4; ++i) v |= static_cast<uint32_t>(at[i]) << (8 * i);
+  return v;
+}
+
+/// Applies \p edit to the body of the framed file at \p path (same length)
+/// and stores the edited body's CRC in the header, so the file passes its
+/// own checksum. \return {old CRC, new CRC}.
+std::pair<uint32_t, uint32_t> EditFramedBody(
+    const std::string& path,
+    const std::function<void(uint8_t* body, size_t len)>& edit) {
+  constexpr size_t kHeader = 8 + 4 + 4 + 8;  // magic, version, crc, length
+  constexpr size_t kCrcAt = 12;
+  std::vector<uint8_t> data;
+  {
+    std::ifstream in(path, std::ios::binary);
+    data.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  const uint32_t old_crc = GetLittleEndian32(data.data() + kCrcAt);
+  edit(data.data() + kHeader, data.size() - kHeader);
+  const uint32_t new_crc = Crc32c(data.data() + kHeader, data.size() - kHeader);
+  PutLittleEndian(data.data() + kCrcAt, new_crc);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(data.data()),
+            static_cast<std::streamsize>(data.size()));
+  return {old_crc, new_crc};
+}
+
+/// Runs \p fn and expects a std::runtime_error whose message names \p what.
+void ExpectRuntimeError(const std::function<void()>& fn,
+                        const std::string& what) {
+  try {
+    fn();
+    ADD_FAILURE() << "no exception; expected one naming " << what;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "wrong exception type: " << e.what();
+  }
+}
+
+TEST_F(PersistTest, ColumnFileWithAnInflatedCountIsMalformed) {
+  // Body: "r", "a" (u16-prefixed), 3 x u8, then u64-counted base ranks (3
+  // rows), appended, deleted-base and pivot registries (empty, no cracker).
+  const std::vector<size_t> count_offsets = {9, 9 + 8 + 24, 9 + 8 + 24 + 8,
+                                             9 + 8 + 24 + 16};
+  for (size_t offset : count_offsets) {
+    SCOPED_TRACE("count at body offset " + std::to_string(offset));
+    const std::string dir = temp_dir().string();
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    Database db(ModeOptions(ExecMode::kAdaptive));
+    db.LoadColumn("r", "a", std::vector<int64_t>{5, 6, 7});
+    WriteSnapshot(dir, 1, 1, db.ExportDurableState());
+
+    const std::pair<uint32_t, uint32_t> crcs = EditFramedBody(
+        ColumnFileName(SnapshotDir(dir, 1), "r", "a"),
+        [&](uint8_t* body, size_t) {
+          PutLittleEndian<uint64_t>(body + offset, uint64_t{1} << 40);
+        });
+    // Re-point the manifest at the edited file, so only decoding can fail.
+    EditFramedBody(ManifestPath(dir), [&](uint8_t* body, size_t len) {
+      size_t hits = 0;
+      for (size_t i = 0; i + 4 <= len; ++i) {
+        if (GetLittleEndian32(body + i) == crcs.first) {
+          PutLittleEndian(body + i, crcs.second);
+          ++hits;
+        }
+      }
+      ASSERT_EQ(hits, 1u);
+    });
+    const Manifest man = ReadManifest(dir);
+    ExpectRuntimeError([&] { (void)ReadSnapshot(dir, man); },
+                       "malformed column body");
+  }
+}
+
+TEST_F(PersistTest, ManifestWithAnInflatedCountIsMalformed) {
+  // Body: 4 x u64, u32 table count, table "r" (u16-prefixed) with u64 rows
+  // and a u32 column count, column "a", then the u32 file count.
+  const std::vector<size_t> count_offsets = {32, 32 + 4 + 3 + 8,
+                                             32 + 4 + 3 + 8 + 4 + 3};
+  for (size_t offset : count_offsets) {
+    SCOPED_TRACE("count at body offset " + std::to_string(offset));
+    const std::string dir = temp_dir().string();
+    Database db(ModeOptions(ExecMode::kAdaptive));
+    db.LoadColumn("r", "a", std::vector<int64_t>{5, 6, 7});
+    WriteSnapshot(dir, 1, 1, db.ExportDurableState());
+    EditFramedBody(ManifestPath(dir), [&](uint8_t* body, size_t) {
+      PutLittleEndian<uint32_t>(body + offset, 0xFFFFFFFFu);
+    });
+    ExpectRuntimeError([&] { (void)ReadManifest(dir); }, "malformed manifest");
+  }
+}
+
 // --- Fault-injected checkpoint --------------------------------------------
 
 TEST_F(PersistTest, FailedCheckpointLeavesThePreviousManifestInForce) {
@@ -319,6 +480,7 @@ TEST_F(PersistTest, WalTailReplaysOnTopOfTheSnapshot) {
 TEST_F(PersistTest, WarmStartReproducesBitIdenticalPieceBoundaries) {
   const auto data = test::MakeUniform(kRows, kDomain, 41);
   DurableDatabaseState before;
+  std::vector<std::pair<int64_t, size_t>> boundaries_before;
   {
     Database db(ModeOptions(ExecMode::kAdaptive));
     db.LoadColumn("r", "a", data);
@@ -335,6 +497,7 @@ TEST_F(PersistTest, WarmStartReproducesBitIdenticalPieceBoundaries) {
     // The checkpoint force-merged all pending updates, so this export is
     // exactly the achieved-index state recovery must reproduce.
     before = db.ExportDurableState();
+    boundaries_before = CrackerOf(db)->ExportBoundaries();
   }
   Database db2(ModeOptions(ExecMode::kAdaptive));
   PersistenceManager pm2(db2, DirOptions(temp_dir()));
@@ -349,15 +512,48 @@ TEST_F(PersistTest, WarmStartReproducesBitIdenticalPieceBoundaries) {
   EXPECT_EQ(a.deleted_base, b.deleted_base);
   ASSERT_TRUE(a.has_cracker);
   // The tentpole claim: the restarted node resumes at the achieved
-  // C_actual — same pivots, bit for bit.
+  // C_actual — same pivots, bit for bit, at the same positions.
   EXPECT_EQ(a.pivot_ranks, b.pivot_ranks);
-  // Life counters survive (restored after recovery's own re-cracks, so
-  // the merge/crack work recovery does is not double-counted).
+  EXPECT_EQ(CrackerOf(db2)->ExportBoundaries(), boundaries_before);
+  // Life counters survive (restored after recovery's own bulk merge, so
+  // the merge work recovery does is not double-counted).
   EXPECT_EQ(a.stats[0], b.stats[0]);  // accesses
   EXPECT_EQ(a.stats[2], b.stats[2]);  // query cracks
   EXPECT_EQ(a.stats[5], b.stats[5]);  // merged inserts
   EXPECT_EQ(a.stats[6], b.stats[6]);  // merged deletes
   EXPECT_EQ(after.next_rowid, before.next_rowid);
+}
+
+/// Observations so far of holix_recovery_stage_seconds{stage="<stage>"}.
+uint64_t StageObservations(const std::string& stage) {
+  const std::string name =
+      "holix_recovery_stage_seconds{stage=\"" + stage + "\"}";
+  for (const auto& h : obs::MetricsRegistry::Global().Snapshot().histograms) {
+    if (h.name == name) return h.Total();
+  }
+  return 0;
+}
+
+TEST_F(PersistTest, RecoveryObservesEveryStageOnce) {
+  const std::vector<std::string> stages = {
+      "snapshot_read",  "begin_restore",    "wal_replay",
+      "restore_pieces", "check_invariants", "register"};
+  {
+    Database db(ModeOptions(ExecMode::kHolistic));
+    db.LoadColumn("r", "a", test::MakeUniform(kRows, kDomain, 61));
+    PersistenceManager pm(db, DirOptions(temp_dir()));
+    (void)db.CountRange("r", "a", 100, 5000);
+    pm.Checkpoint();
+    (void)db.Insert("r", "a", 17);  // WAL tail
+  }
+  std::vector<uint64_t> before;
+  for (const std::string& s : stages) before.push_back(StageObservations(s));
+  Database db2(ModeOptions(ExecMode::kHolistic));
+  PersistenceManager pm2(db2, DirOptions(temp_dir()));
+  ASSERT_TRUE(pm2.recovered());
+  for (size_t i = 0; i < stages.size(); ++i) {
+    EXPECT_EQ(StageObservations(stages[i]), before[i] + 1) << stages[i];
+  }
 }
 
 TEST_F(PersistTest, DoubleColumnsRecoverNaNNegZeroAndInfinities) {
@@ -431,6 +627,31 @@ TEST_P(PersistAllModesTest, CheckpointRecoverMatchesOracleCounts) {
   Database db2(ModeOptions(mode));
   PersistenceManager pm2(db2, DirOptions(temp_dir()));
   ASSERT_TRUE(pm2.recovered());
+  // Warm start: every saved pivot is a boundary again, at #{live rows <
+  // pivot} (holistic workers may add boundaries, never move these).
+  const DurableDatabaseState saved =
+      ReadSnapshot(temp_dir().string(), ReadManifest(temp_dir().string()));
+  ASSERT_EQ(saved.columns.size(), 1u);
+  if (saved.columns[0].has_cracker) {
+    std::vector<int64_t> live = data;
+    if (cracking_mode) {
+      live.erase(live.begin() + 3);
+      live.push_back(kDomain + 1);
+      live.push_back(kDomain + 2);
+    }
+    std::sort(live.begin(), live.end());
+    const auto cracker = CrackerOf(db2);
+    ASSERT_NE(cracker, nullptr);
+    std::map<int64_t, size_t> at;
+    for (const auto& [v, pos] : cracker->ExportBoundaries()) at[v] = pos;
+    for (uint64_t rank : saved.columns[0].pivot_ranks) {
+      const int64_t w = KeyTraits<int64_t>::FromRank(rank);
+      const size_t want = static_cast<size_t>(
+          std::lower_bound(live.begin(), live.end(), w) - live.begin());
+      ASSERT_EQ(at.count(w), 1u) << "pivot " << w;
+      EXPECT_EQ(at[w], want) << "pivot " << w;
+    }
+  }
   for (size_t i = 0; i < probes.size(); ++i) {
     EXPECT_EQ(db2.CountRange("r", "a", probes[i].first, probes[i].second),
               oracle[i])
