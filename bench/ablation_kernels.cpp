@@ -30,23 +30,16 @@ int main() {
     std::string label;
     CrackAlgo algo;
     size_t threads;
-    ParallelCrackMode mode;
   };
   std::vector<Variant> variants = {
-      {"scalar (branchy, in-place)", CrackAlgo::kScalar, 1,
-       ParallelCrackMode::kMorsels},
-      {"out-of-place (predicated)", CrackAlgo::kOutOfPlace, 1,
-       ParallelCrackMode::kMorsels},
+      {"scalar (branchy, in-place)", CrackAlgo::kScalar, 1},
+      {"out-of-place (predicated)", CrackAlgo::kOutOfPlace, 1},
       {"simd (" + std::string(SimdLevelName(DetectSimdLevel())) + ")",
-       CrackAlgo::kSimd, 1, ParallelCrackMode::kMorsels},
+       CrackAlgo::kSimd, 1},
   };
   for (size_t th = 2; th <= env.cores; th *= 2) {
-    variants.push_back({"parallel-static x" + std::to_string(th),
-                        CrackAlgo::kParallel, th,
-                        ParallelCrackMode::kStaticSlices});
     variants.push_back({"parallel-morsel x" + std::to_string(th),
-                        CrackAlgo::kParallel, th,
-                        ParallelCrackMode::kMorsels});
+                        CrackAlgo::kParallel, th});
   }
 
   ReportTable t("Ablation: cracking kernel, 1-attribute workload");
@@ -57,7 +50,6 @@ int main() {
     cfg.algo = v.algo;
     cfg.pool = &pool;
     cfg.parallel_threads = v.threads;
-    cfg.parallel_mode = v.mode;
     CrackerColumn<int64_t> col("a0", base);
     ResponseSeries series;
     for (const auto& q : queries) {
@@ -71,7 +63,6 @@ int main() {
   t.Print();
   SaveBenchJson(t, "ablation_kernels");
   std::printf("\n# [44]: out-of-place beats the branchy kernel, SIMD beats "
-              "both; parallel cracking accelerates the big early cracks and "
-              "morsel stealing beats static slices under skew\n");
+              "both; parallel cracking accelerates the big early cracks\n");
   return 0;
 }

@@ -5,7 +5,7 @@
 /// Two output stages:
 ///   1. A fixed summary table at `HOLIX_MICRO_N` rows (default 2^24):
 ///      seconds per crack-in-two for scalar / out-of-place / SIMD and the
-///      static-slice vs morsel parallel modes, each with the resulting cut
+///      morsel-parallel kernel, each with the resulting cut
 ///      index as a correctness checksum. With `HOLIX_BENCH_JSON=<dir>` the
 ///      table lands in `<dir>/BENCH_micro_kernels.json`, which
 ///      `tools/bench_compare.py` gates against `bench/results/`.
@@ -156,15 +156,14 @@ void BM_CrackInTwoSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_CrackInTwoSimd)->Range(1 << 14, 1 << 22)->UseManualTime();
 
-/// Static-slice vs morsel parallel cracking at a fixed 2^22 rows; the
-/// argument is the thread count.
-void RunParallelBench(benchmark::State& state, ParallelCrackMode mode) {
+/// Morsel-parallel cracking at a fixed 2^22 rows; the argument is the
+/// thread count.
+void BM_ParallelCrackMorsel(benchmark::State& state) {
   const size_t n = 1 << 22;
   const size_t threads = static_cast<size_t>(state.range(0));
   ThreadPool pool(threads);
   ParallelCrackOptions opts;
   opts.threads = threads;
-  opts.mode = mode;
   RotatingInputs<int64_t> rot(n);
   for (auto _ : state) {
     const size_t slot = rot.Acquire();
@@ -179,15 +178,6 @@ void RunParallelBench(benchmark::State& state, ParallelCrackMode mode) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 
-void BM_ParallelCrackStatic(benchmark::State& state) {
-  RunParallelBench(state, ParallelCrackMode::kStaticSlices);
-}
-BENCHMARK(BM_ParallelCrackStatic)->RangeMultiplier(2)->Range(1, 16)
-    ->UseManualTime();
-
-void BM_ParallelCrackMorsel(benchmark::State& state) {
-  RunParallelBench(state, ParallelCrackMode::kMorsels);
-}
 BENCHMARK(BM_ParallelCrackMorsel)->RangeMultiplier(2)->Range(1, 16)
     ->UseManualTime();
 
@@ -339,23 +329,16 @@ void RunSummary() {
 
   {
     ThreadPool pool(threads);
-    for (const auto mode : {ParallelCrackMode::kStaticSlices,
-                            ParallelCrackMode::kMorsels}) {
-      ParallelCrackOptions opts;
-      opts.threads = threads;
-      opts.mode = mode;
-      const double s =
-          BestOf<int64_t>(reps, v, ids, base_v, base_i, &cut,
-                          [&](int64_t* vv, RowId* ii, size_t nn) {
-                            return ParallelCrackInTwo(vv, ii, 0, nn, kPivot,
-                                                      pool, opts);
-                          });
-      const std::string name =
-          (mode == ParallelCrackMode::kMorsels ? "parallel-morsel x"
-                                               : "parallel-static x") +
-          std::to_string(threads);
-      table.AddRow({name, FormatSeconds(s), std::to_string(cut)});
-    }
+    ParallelCrackOptions opts;
+    opts.threads = threads;
+    const double s =
+        BestOf<int64_t>(reps, v, ids, base_v, base_i, &cut,
+                        [&](int64_t* vv, RowId* ii, size_t nn) {
+                          return ParallelCrackInTwo(vv, ii, 0, nn, kPivot,
+                                                    pool, opts);
+                        });
+    table.AddRow({"parallel-morsel x" + std::to_string(threads),
+                  FormatSeconds(s), std::to_string(cut)});
   }
 
   std::printf("# simd vs scalar: %.2fx (int64), %.2fx (int32), %.2fx (f64); "

@@ -6,13 +6,15 @@
 ///   holix_server [--port N] [--mode adaptive|holistic|...] [--rows N]
 ///                [--attrs N] [--threads N] [--io-threads N]
 ///                [--kernel scalar|oop|parallel|simd]
-///                [--no-shared-scans] [--seed N] [--metrics-port N]
+///                [--seed N] [--metrics-port N]
 ///                [--data-dir PATH] [--fsync always|interval|never]
 ///                [--checkpoint-interval SECONDS]
 ///
 /// `--port 0` (the default) binds an ephemeral port; the chosen port is
 /// printed as `listening on 127.0.0.1:<port>` so scripts (CI's server
-/// smoke step) can parse it.
+/// smoke step) can parse it. A numeric flag whose value is not a whole
+/// number in its range (`--port 70000`, `--rows x`) prints the usage and
+/// exits 2, like an unknown flag.
 ///
 /// Durability: `--data-dir PATH` attaches the persist layer. When PATH
 /// already holds a manifest the server *recovers* from it (snapshot + WAL
@@ -25,11 +27,13 @@
 ///
 /// Observability: `--metrics-port N` serves `GET /metrics` (Prometheus
 /// text exposition) over plain HTTP on the same event loop (`--metrics-port
-/// 0` stays disabled; the bound port is printed as `metrics on ...`).
+/// 0` binds an ephemeral port; the bound port is printed as `metrics on
+/// ...`).
 /// SIGUSR1 prints a one-page human-readable telemetry snapshot to stdout
 /// without disturbing service, and shutdown prints a final summary line.
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -71,6 +75,31 @@ holix::ExecMode ParseMode(const std::string& name) {
   std::exit(2);
 }
 
+void PrintUsage() {
+  std::fprintf(stderr,
+               "usage: holix_server [--port N] [--mode M] [--rows N] "
+               "[--attrs N] [--threads N] [--io-threads N] "
+               "[--kernel scalar|oop|parallel|simd] [--seed N] "
+               "[--metrics-port N] [--data-dir PATH] "
+               "[--fsync always|interval|never] "
+               "[--checkpoint-interval SECONDS]\n");
+}
+
+/// Parses all of \p text as a T (range-checked by std::from_chars); on
+/// failure prints the usage and exits 2.
+template <typename T>
+T ParseNumber(const std::string& flag, const char* text) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end || text == end) {
+    std::fprintf(stderr, "bad value '%s' for %s\n", text, flag.c_str());
+    PrintUsage();
+    std::exit(2);
+  }
+  return value;
+}
+
 holix::CrackAlgo ParseKernel(const std::string& name) {
   if (auto algo = holix::CrackAlgoFromString(name)) return *algo;
   std::fprintf(stderr, "unknown kernel '%s' (scalar|oop|parallel|simd)\n",
@@ -88,7 +117,6 @@ int main(int argc, char** argv) {
   size_t threads = 2;
   size_t io_threads = 2;
   holix::CrackAlgo kernel = holix::CrackAlgo::kParallel;
-  bool shared_scans = true;
   uint64_t seed = 1907;
   uint16_t metrics_port = 0;
   bool metrics_http = false;
@@ -105,25 +133,23 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--port") {
-      port = static_cast<uint16_t>(std::atoi(next()));
+      port = ParseNumber<uint16_t>(arg, next());
     } else if (arg == "--mode") {
       mode = ParseMode(next());
     } else if (arg == "--rows") {
-      rows = static_cast<size_t>(std::atoll(next()));
+      rows = ParseNumber<size_t>(arg, next());
     } else if (arg == "--attrs") {
-      attrs = static_cast<size_t>(std::atoll(next()));
+      attrs = ParseNumber<size_t>(arg, next());
     } else if (arg == "--threads") {
-      threads = static_cast<size_t>(std::atoll(next()));
+      threads = ParseNumber<size_t>(arg, next());
     } else if (arg == "--io-threads") {
-      io_threads = static_cast<size_t>(std::atoll(next()));
+      io_threads = ParseNumber<size_t>(arg, next());
     } else if (arg == "--kernel") {
       kernel = ParseKernel(next());
-    } else if (arg == "--no-shared-scans") {
-      shared_scans = false;
     } else if (arg == "--seed") {
-      seed = static_cast<uint64_t>(std::atoll(next()));
+      seed = ParseNumber<uint64_t>(arg, next());
     } else if (arg == "--metrics-port") {
-      metrics_port = static_cast<uint16_t>(std::atoi(next()));
+      metrics_port = ParseNumber<uint16_t>(arg, next());
       metrics_http = true;
     } else if (arg == "--data-dir") {
       data_dir = next();
@@ -137,15 +163,9 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--checkpoint-interval") {
-      checkpoint_interval = std::atof(next());
+      checkpoint_interval = ParseNumber<double>(arg, next());
     } else {
-      std::fprintf(stderr,
-                   "usage: holix_server [--port N] [--mode M] [--rows N] "
-                   "[--attrs N] [--threads N] [--io-threads N] "
-                   "[--kernel scalar|oop|parallel|simd] "
-                   "[--no-shared-scans] [--seed N] [--metrics-port N] "
-                   "[--data-dir PATH] [--fsync always|interval|never] "
-                   "[--checkpoint-interval SECONDS]\n");
+      PrintUsage();
       return arg == "--help" ? 0 : 2;
     }
   }
@@ -191,7 +211,6 @@ int main(int argc, char** argv) {
   holix::net::ServerOptions server_opts;
   server_opts.port = port;
   server_opts.io_threads = io_threads;
-  server_opts.shared_scans = shared_scans;
   server_opts.metrics_http = metrics_http;
   server_opts.metrics_port = metrics_port;
   holix::net::HolixServer server(db, server_opts);
@@ -224,13 +243,10 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   std::printf(
-      "shutting down: %llu connections (peak %llu open), %llu requests, "
-      "%llu shared-scan batches for %llu requests\n",
+      "shutting down: %llu connections (peak %llu open), %llu requests\n",
       static_cast<unsigned long long>(server.TotalConnections()),
       static_cast<unsigned long long>(server.PeakConnections()),
-      static_cast<unsigned long long>(server.TotalRequests()),
-      static_cast<unsigned long long>(server.SharedScanBatches()),
-      static_cast<unsigned long long>(server.SharedScanRequests()));
+      static_cast<unsigned long long>(server.TotalRequests()));
   server.Stop();
   std::printf("clean shutdown\n");
   return 0;

@@ -46,13 +46,6 @@ inline std::optional<CrackAlgo> CrackAlgoFromString(std::string_view s) {
   return std::nullopt;
 }
 
-/// How kParallel distributes a piece across threads.
-enum class ParallelCrackMode {
-  kMorsels,       ///< ~L2-sized morsels on a work-stealing deque (default).
-  kStaticSlices,  ///< Exactly-`threads` static slices (the pre-morsel
-                  ///< scheme; kept for A/B benchmarking).
-};
-
 /// Options carried by select operators and holistic workers into the
 /// cracker column. Plain value type: cheap to copy per call.
 struct CrackConfig {
@@ -68,9 +61,6 @@ struct CrackConfig {
   /// Pieces smaller than this fall back to the single-threaded SIMD kernel
   /// even when kParallel is requested.
   size_t min_parallel_piece = 1u << 16;
-
-  /// Scheduling of kParallel cracks.
-  ParallelCrackMode parallel_mode = ParallelCrackMode::kMorsels;
 
   /// Rows per morsel; 0 derives ~one L2 worth of (value, rowid) pairs.
   size_t morsel_rows = 0;

@@ -683,7 +683,6 @@ class CrackerColumn {
           ParallelCrackOptions opts;
           opts.threads = cfg.parallel_threads;
           opts.min_parallel_piece = cfg.min_parallel_piece;
-          opts.mode = cfg.parallel_mode;
           opts.morsel_rows = cfg.morsel_rows;
           return ParallelCrackInTwo(values_.data(), rowids_.data(), begin,
                                     end, pivot, *cfg.pool, opts);

@@ -168,14 +168,6 @@ size_t Database::CountRangeScalar(const ColumnHandle& column, KeyScalar low,
           .i);
 }
 
-std::vector<uint64_t> Database::CountRangeBatchScalar(
-    const ColumnHandle& column,
-    const std::vector<std::pair<KeyScalar, KeyScalar>>& ranges,
-    const QueryContext& qctx) {
-  SlotLease lease(slot_monitor_, options_.user_threads);
-  return executor_->CountRangeBatch(column, ranges, qctx);
-}
-
 KeyScalar Database::SumRangeScalar(const ColumnHandle& column, KeyScalar low,
                                    KeyScalar high, const QueryContext& qctx) {
   return Execute(QuerySpec::Single(column, low, high,

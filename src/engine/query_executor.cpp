@@ -690,39 +690,6 @@ class ScanExecutor : public ExecutorBase {
       return b.empty ? PositionList{} : ScanSelect<T>(e, b);
     });
   }
-
-  /// The literal shared scan: one sequential read of the base column
-  /// evaluates every request's bounds, so N concurrent counts cost one
-  /// pass of memory bandwidth instead of N.
-  std::vector<uint64_t> CountRangeBatch(
-      const ColumnHandle& h,
-      const std::vector<std::pair<KeyScalar, KeyScalar>>& ranges,
-      const QueryContext&) override {
-    ColumnEntry& e = Entry(h);
-    return DispatchIndexableType(
-        e.type(), [&](auto tag) -> std::vector<uint64_t> {
-          using T = typename decltype(tag)::type;
-          std::vector<Bounds<T>> bs;
-          bs.reserve(ranges.size());
-          for (const auto& [lo, hi] : ranges) bs.push_back(ClampBounds<T>(lo, hi));
-          const Column<T>& base = *e.runtime<T>().base;
-          const T* data = base.data();
-          std::vector<uint64_t> counts(ranges.size(), 0);
-          for (size_t i = 0; i < base.size(); ++i) {
-            const T v = data[i];
-            for (size_t k = 0; k < bs.size(); ++k) {
-              const Bounds<T>& b = bs[k];
-              if (b.empty) continue;
-              const bool hit =
-                  !KeyTraits<T>::Less(v, b.lo) &&
-                  (b.closed_high ? !KeyTraits<T>::Less(b.hi, v)
-                                 : KeyTraits<T>::Less(v, b.hi));
-              if (hit) ++counts[k];
-            }
-          }
-          return counts;
-        });
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -914,91 +881,6 @@ class CrackingExecutor : public ExecutorBase {
         return WrapSum<P>(sum);
       });
     });
-  }
-
-  /// Shared scan over an adaptive index: crack the UNION of the requested
-  /// bounds once (one piece-boundary refinement, one pending merge), then
-  /// carve every request's count out of a single scan of the resulting
-  /// position range. Bit-equal to per-request CountRange calls — counting
-  /// is by value, and merging pending rows for the union is merging a
-  /// superset of what each request would have merged.
-  std::vector<uint64_t> CountRangeBatch(
-      const ColumnHandle& h,
-      const std::vector<std::pair<KeyScalar, KeyScalar>>& ranges,
-      const QueryContext& qctx) override {
-    if (ranges.size() < 2) {
-      return QueryExecutor::CountRangeBatch(h, ranges, qctx);
-    }
-    static obs::Counter& batch_ranges =
-        obs::MetricsRegistry::Global().GetCounter("holix_batch_ranges_total");
-    batch_ranges.Inc(ranges.size());
-    ColumnEntry& e = Entry(h);
-    return DispatchIndexableType(
-        e.type(), [&](auto tag) -> std::vector<uint64_t> {
-          using T = typename decltype(tag)::type;
-          std::vector<Bounds<T>> bs;
-          bs.reserve(ranges.size());
-          Bounds<T> u{};
-          bool any = false;
-          for (const auto& [lo, hi] : ranges) {
-            const Bounds<T> b = ClampBounds<T>(lo, hi);
-            if (!b.empty) {
-              if (!any) {
-                u = b;
-                any = true;
-              } else {
-                if (KeyTraits<T>::Less(b.lo, u.lo)) u.lo = b.lo;
-                // The wider high is the larger value; at a tie the closed
-                // bound covers the open one.
-                if (KeyTraits<T>::Less(u.hi, b.hi) ||
-                    (!KeyTraits<T>::Less(b.hi, u.hi) && b.closed_high)) {
-                  u.hi = b.hi;
-                  u.closed_high = u.closed_high || b.closed_high;
-                }
-              }
-            }
-            bs.push_back(b);
-          }
-          if (!any) return std::vector<uint64_t>(ranges.size(), 0);
-          // Adaptive admission: the union spans every requested range PLUS
-          // the gaps between them. On a converged column the per-range
-          // indexed probes are cheaper than one wide union scan — estimate
-          // both from the current piece boundaries and fall back to the
-          // per-range path (bit-equal by construction) when coalescing
-          // would lose. An uncracked column always coalesces: estimates
-          // are column-sized either way and the union cracks only once.
-          if (auto est =
-                  e.runtime<T>().cracker.load(std::memory_order_acquire)) {
-            size_t per_range = 0;
-            for (const Bounds<T>& b : bs) {
-              if (!b.empty) {
-                per_range += est->EstimateRange(b.lo, b.hi, b.closed_high);
-              }
-            }
-            if (per_range < est->EstimateRange(u.lo, u.hi, u.closed_high)) {
-              static obs::Counter& skips =
-                  obs::MetricsRegistry::Global().GetCounter(
-                      "holix_batch_admission_skips_total");
-              skips.Inc();
-              return QueryExecutor::CountRangeBatch(h, ranges, qctx);
-            }
-          }
-          std::shared_ptr<CrackerColumn<T>> cracker;
-          const PositionRange r = Select<T>(e, u, qctx, &cracker);
-          std::vector<uint64_t> counts(ranges.size(), 0);
-          cracker->ScanRange(r, [&](T v, RowId) {
-            for (size_t k = 0; k < bs.size(); ++k) {
-              const Bounds<T>& b = bs[k];
-              if (b.empty) continue;
-              const bool hit =
-                  !KeyTraits<T>::Less(v, b.lo) &&
-                  (b.closed_high ? !KeyTraits<T>::Less(b.hi, v)
-                                 : KeyTraits<T>::Less(v, b.hi));
-              if (hit) ++counts[k];
-            }
-          });
-          return counts;
-        });
   }
 
   RowId Insert(const ColumnHandle& h, KeyScalar value,
@@ -1266,21 +1148,6 @@ class HolisticExecutor : public CrackingExecutor {
 };
 
 }  // namespace
-
-std::vector<uint64_t> QueryExecutor::CountRangeBatch(
-    const ColumnHandle& column,
-    const std::vector<std::pair<KeyScalar, KeyScalar>>& ranges,
-    const QueryContext& qctx) {
-  static obs::Counter& batch_ranges =
-      obs::MetricsRegistry::Global().GetCounter("holix_batch_ranges_total");
-  batch_ranges.Inc(ranges.size());
-  std::vector<uint64_t> counts;
-  counts.reserve(ranges.size());
-  for (const auto& [lo, hi] : ranges) {
-    counts.push_back(static_cast<uint64_t>(CountRange(column, lo, hi, qctx)));
-  }
-  return counts;
-}
 
 RowId QueryExecutor::Insert(const ColumnHandle&, KeyScalar,
                             const QueryContext&) {

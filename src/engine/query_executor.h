@@ -85,18 +85,6 @@ class QueryExecutor {
   virtual size_t CountRange(const ColumnHandle& column, KeyScalar low,
                             KeyScalar high, const QueryContext& qctx) = 0;
 
-  /// Shared scan: answers many [low, high) count queries over ONE column in
-  /// a single pass. counts[i] answers ranges[i], bit-equal to calling
-  /// CountRange per range. The base implementation loops; the scan strategy
-  /// evaluates every range during one sequential read, and the cracking
-  /// strategies crack the *union* of the bounds once and carve the
-  /// per-request counts out of that one piece-range scan — the event-loop
-  /// server's coalescer batches concurrent same-column requests into this.
-  virtual std::vector<uint64_t> CountRangeBatch(
-      const ColumnHandle& column,
-      const std::vector<std::pair<KeyScalar, KeyScalar>>& ranges,
-      const QueryContext& qctx);
-
   /// select sum(column) where low <= column < high. The result carrier
   /// follows the column type: int64 for integer columns, double for double
   /// columns (a sum over rows holding the NaN key is NaN).

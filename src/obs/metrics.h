@@ -49,7 +49,6 @@
 /// | holix_slow_queries_total                    | counter   | queries over the slow threshold |
 /// | holix_planner_{probe,merge}_total           | counter   | conjunction probe-vs-merge choices |
 /// | holix_planner_refine_hints_total            | counter   | RefineHint cracks issued by probes |
-/// | holix_batch_ranges_total                    | counter   | ranges answered via CountRangeBatch |
 /// | holix_index_pieces / holix_adaptive_indices | gauge     | registry-wide piece/index counts |
 /// | holix_server_connections_total              | counter   | accepted sockets |
 /// | holix_server_requests_total                 | counter   | request frames entering execution |
@@ -59,10 +58,6 @@
 /// | holix_server_open_connections               | gauge     | currently open sockets |
 /// | holix_server_peak_connections               | gauge     | high-water open sockets |
 /// | holix_server_in_flight                      | gauge     | requests submitted, not completed |
-/// | holix_sharedscan_batches_total              | counter   | coalesced scan batches run |
-/// | holix_sharedscan_requests_total             | counter   | requests answered by shared scans |
-/// | holix_sharedscan_batch_size                 | histogram | requests per coalesced batch |
-/// | holix_batch_admission_skips_total           | counter   | ranges bypassing shared-scan coalescing (admission heuristic) |
 /// | holix_wal_records_total                     | counter   | update records appended to the WAL |
 /// | holix_wal_bytes_total                       | counter   | record bytes appended to the WAL |
 /// | holix_wal_fsyncs_total                      | counter   | fsync calls issued by the WAL writer |

@@ -18,7 +18,6 @@
 
 #include "engine/database.h"
 #include "obs/metrics.h"
-#include "server/shared_scan.h"
 
 namespace holix::net {
 
@@ -66,33 +65,9 @@ int BindListener(const std::string& address, uint16_t port, int backlog,
 HolixServer::HolixServer(Database& db, ServerOptions options)
     : db_(db), options_(std::move(options)) {
   if (options_.io_threads == 0) options_.io_threads = 1;
-  if (options_.shared_scans) {
-    coalescer_ = std::make_unique<SharedScanCoalescer>(db_);
-  }
-  auto& reg = obs::MetricsRegistry::Global();
-  sharedscan_batches_base_ =
-      reg.GetCounter("holix_sharedscan_batches_total").Value();
-  sharedscan_requests_base_ =
-      reg.GetCounter("holix_sharedscan_requests_total").Value();
 }
 
 HolixServer::~HolixServer() { Stop(); }
-
-uint64_t HolixServer::SharedScanBatches() const {
-  if (coalescer_ == nullptr) return 0;
-  return obs::MetricsRegistry::Global()
-             .GetCounter("holix_sharedscan_batches_total")
-             .Value() -
-         sharedscan_batches_base_;
-}
-
-uint64_t HolixServer::SharedScanRequests() const {
-  if (coalescer_ == nullptr) return 0;
-  return obs::MetricsRegistry::Global()
-             .GetCounter("holix_sharedscan_requests_total")
-             .Value() -
-         sharedscan_requests_base_;
-}
 
 void HolixServer::Start() {
   if (running_.load(std::memory_order_acquire)) return;
@@ -784,45 +759,7 @@ bool HolixServer::HandleFrame(IoLoop& loop,
       EnqueueLoop(loop, conn, EncodeMessage(f.request_id, CloseSessionAck{}));
       return true;
     }
-    case MsgType::kCountRange: {
-      if (coalescer_ != nullptr) {
-        CountRangeReq req;
-        if (!DecodeMessage(f, &req)) {
-          EnqueueError(loop, conn, f.request_id, ErrorCode::kMalformedFrame,
-                       "malformed CountRange");
-          return false;
-        }
-        auto it = conn->sessions.find(req.session_id);
-        if (it == conn->sessions.end()) {
-          EnqueueError(loop, conn, f.request_id, ErrorCode::kNoSuchSession,
-                       "unknown session " + std::to_string(req.session_id));
-          return true;
-        }
-        ColumnHandle h;
-        try {
-          h = it->second.Handle(req.table, req.column);
-        } catch (const std::out_of_range& e) {
-          EnqueueError(loop, conn, f.request_id, ErrorCode::kNoSuchColumn,
-                       e.what());
-          return true;
-        }
-        BeginRequest(*conn);
-        const uint64_t id = f.request_id;
-        coalescer_->Submit(
-            h, req.low, req.high,
-            [this, conn, id](uint64_t count, const std::string* error) {
-              std::vector<uint8_t> bytes;
-              if (error != nullptr) {
-                bytes = EncodeError(id, ErrorCode::kQueryFailed, *error);
-              } else {
-                CountResult res;
-                res.count = count;
-                bytes = EncodeMessage(id, res);
-              }
-              CompleteRequest(conn, std::move(bytes));
-            });
-        return true;
-      }
+    case MsgType::kCountRange:
       return DispatchQuery<CountRangeReq>(
           loop, conn, f,
           [db](Session& s, const CountRangeReq& r, uint64_t id) {
@@ -834,7 +771,6 @@ bool HolixServer::HandleFrame(IoLoop& loop,
               return EncodeMessage(id, res);
             };
           });
-    }
     case MsgType::kSumRange:
       return DispatchQuery<SumRangeReq>(
           loop, conn, f, [db](Session& s, const SumRangeReq& r, uint64_t id) {
@@ -884,54 +820,7 @@ bool HolixServer::HandleFrame(IoLoop& loop,
               return EncodeMessage(id, res);
             };
           });
-    case MsgType::kExecuteQuery: {
-      if (coalescer_ != nullptr) {
-        // Count-only single-predicate specs are the shared-scan shape:
-        // route them through the coalescer so concurrent clients on the
-        // same column share one crack/scan pass. The engine's answer for
-        // this shape IS CountRange, so the result is bit-equal.
-        ExecuteQueryReq req;
-        if (!DecodeMessage(f, &req)) {
-          EnqueueError(loop, conn, f.request_id, ErrorCode::kMalformedFrame,
-                       "malformed ExecuteQuery");
-          return false;
-        }
-        if (req.predicates.size() == 1 && req.results.size() == 1 &&
-            static_cast<ResultRequest>(req.results[0].kind) ==
-                ResultRequest::kCount) {
-          auto it = conn->sessions.find(req.session_id);
-          if (it == conn->sessions.end()) {
-            EnqueueError(loop, conn, f.request_id, ErrorCode::kNoSuchSession,
-                         "unknown session " + std::to_string(req.session_id));
-            return true;
-          }
-          ColumnHandle h;
-          try {
-            h = it->second.Handle(req.table, req.predicates[0].column);
-          } catch (const std::out_of_range& e) {
-            EnqueueError(loop, conn, f.request_id, ErrorCode::kNoSuchColumn,
-                         e.what());
-            return true;
-          }
-          BeginRequest(*conn);
-          const uint64_t id = f.request_id;
-          coalescer_->Submit(
-              h, req.predicates[0].low, req.predicates[0].high,
-              [this, conn, id](uint64_t count, const std::string* error) {
-                std::vector<uint8_t> bytes;
-                if (error != nullptr) {
-                  bytes = EncodeError(id, ErrorCode::kQueryFailed, *error);
-                } else {
-                  ExecuteQueryResult res;
-                  res.values.push_back(
-                      KeyScalar::I64(static_cast<int64_t>(count)));
-                  bytes = EncodeMessage(id, res);
-                }
-                CompleteRequest(conn, std::move(bytes));
-              });
-          return true;
-        }
-      }
+    case MsgType::kExecuteQuery:
       return DispatchQuery<ExecuteQueryReq>(
           loop, conn, f,
           [db](Session& s, const ExecuteQueryReq& r, uint64_t id) {
@@ -971,7 +860,6 @@ bool HolixServer::HandleFrame(IoLoop& loop,
               return EncodeMessage(id, res);
             };
           });
-    }
     case MsgType::kInsert:
       return DispatchQuery<InsertReq>(
           loop, conn, f, [db](Session& s, const InsertReq& r, uint64_t id) {

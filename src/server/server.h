@@ -9,8 +9,9 @@
 /// length-prefixed frames incrementally out of a per-connection read
 /// buffer (partial frames simply wait for the next readable event) and
 /// resolves handles through the connection's sessions (each session's
-/// handle cache stays single-threaded); query execution is dispatched
-/// through Session::SubmitRaw onto the database's client pool. Pool
+/// handle cache stays single-threaded); every query frame is dispatched
+/// through Session::SubmitRaw onto the database's client pool and answered
+/// by Database::Execute, so each socket read is one engine query. Pool
 /// threads never touch sockets: a finished query encodes its response
 /// frame, parks it in the connection's outbox and wakes the owning loop
 /// (eventfd), which moves it to the write queue and writes until EAGAIN,
@@ -22,13 +23,6 @@
 /// ServerOptions::max_in_flight_per_connection dispatched queries or more
 /// than ServerOptions::max_queued_bytes_per_connection of undelivered
 /// response bytes. Reads resume when the window reopens.
-///
-/// Shared scans: when ServerOptions::shared_scans is on, concurrent
-/// CountRange requests (and count-only single-predicate ExecuteQuery
-/// frames) against the same column are coalesced into one
-/// Database::CountRangeBatchScalar pass — the union of the bounds is
-/// cracked once and each request's count is carved out of a single scan
-/// (see shared_scan.h).
 ///
 /// Shutdown: Stop() closes the listener, stops frame decoding, *drains*
 /// every in-flight query (responses still go out), flushes write queues
@@ -56,8 +50,6 @@ class Database;
 }
 
 namespace holix::net {
-
-class SharedScanCoalescer;
 
 /// Construction-time options of a HolixServer.
 struct ServerOptions {
@@ -89,9 +81,6 @@ struct ServerOptions {
   /// Number of epoll IO threads. Two saturate loopback comfortably; raise
   /// toward the physical core count for many active NIC-attached clients.
   size_t io_threads = 2;
-
-  /// Coalesce concurrent same-column count requests into shared scans.
-  bool shared_scans = true;
 
   /// Serve a plain-HTTP `GET /metrics` endpoint (Prometheus text
   /// exposition) on the event loop. Enabled by metrics_http or a nonzero
@@ -147,14 +136,6 @@ class HolixServer {
   uint64_t PeakConnections() const {
     return peak_connections_.load(std::memory_order_relaxed);
   }
-
-  /// Count-range batches the shared-scan coalescer ran (0 when off).
-  /// Snapshot reads of the global holix_sharedscan_* registry series,
-  /// relative to a baseline captured at construction, so the value covers
-  /// exactly this server's lifetime.
-  uint64_t SharedScanBatches() const;
-  /// Requests answered through those batches.
-  uint64_t SharedScanRequests() const;
 
  private:
   struct IoLoop;
@@ -264,18 +245,11 @@ class HolixServer {
   /// waits for zero (pool closures never block on sockets, so this always
   /// drains).
   std::atomic<uint64_t> global_in_flight_{0};
-  std::unique_ptr<SharedScanCoalescer> coalescer_;
 
   std::atomic<uint64_t> total_connections_{0};
   std::atomic<uint64_t> total_requests_{0};
   std::atomic<uint64_t> open_connections_{0};
   std::atomic<uint64_t> peak_connections_{0};
-  /// Registry values of the holix_sharedscan_* counters at construction;
-  /// SharedScanBatches()/SharedScanRequests() report deltas against these
-  /// so the accessors cover exactly this server's lifetime even though the
-  /// registry is process-global.
-  uint64_t sharedscan_batches_base_ = 0;
-  uint64_t sharedscan_requests_base_ = 0;
 };
 
 }  // namespace holix::net

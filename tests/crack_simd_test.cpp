@@ -293,7 +293,6 @@ TEST(MorselParallelCrack, ManySmallMorselsMatchOracle) {
       ParallelCrackOptions opts;
       opts.threads = threads;
       opts.min_parallel_piece = 256;
-      opts.mode = ParallelCrackMode::kMorsels;
       opts.morsel_rows = morsel_rows;
       const int64_t pivot = 123;
       const size_t cut = ParallelCrackInTwo(v.data(), ids.data(), 0, n, pivot,
@@ -305,26 +304,6 @@ TEST(MorselParallelCrack, ManySmallMorselsMatchOracle) {
       CheckPartitioned<int64_t>(base, v, ids, 0, n, cut, pivot);
     }
   }
-}
-
-TEST(MorselParallelCrack, StaticSliceModeStillWorks) {
-  const size_t n = 50000;
-  ThreadPool pool(4);
-  std::vector<int64_t> base = RandomKeys<int64_t>(n, 55);
-  std::vector<int64_t> v = base;
-  std::vector<RowId> ids(n);
-  for (size_t i = 0; i < n; ++i) ids[i] = i;
-  ParallelCrackOptions opts;
-  opts.threads = 4;
-  opts.min_parallel_piece = 256;
-  opts.mode = ParallelCrackMode::kStaticSlices;
-  const int64_t pivot = -100;
-  const size_t cut =
-      ParallelCrackInTwo(v.data(), ids.data(), 0, n, pivot, pool, opts);
-  size_t expected = 0;
-  for (const int64_t x : base) expected += x < pivot ? 1 : 0;
-  EXPECT_EQ(cut, expected);
-  CheckPartitioned<int64_t>(base, v, ids, 0, n, cut, pivot);
 }
 
 TEST(MorselParallelCrack, SubrangeWithDoubleSpecials) {

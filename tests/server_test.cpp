@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "engine/database.h"
+#include "obs/metrics.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "test_support.h"
@@ -635,38 +636,80 @@ TEST(Server, ResetMidFrameLeavesServerHealthy) {
   server.Stop();
 }
 
-/// Shared scans answer concurrent same-column counts bit-equal to the
-/// engine, and actually coalesce under pipelining.
-TEST(Server, SharedScanCoalescesConcurrentCountsBitEqual) {
-  Database db(SmallDbOptions());
+/// Every socket read is one engine query: two connections each pipeline
+/// 64 counts, half as CountRange frames and half as one-predicate count
+/// ExecuteQuery frames. Each answer matches the naive oracle, and the
+/// mode's holix_queries_total series grows by exactly the number of reads
+/// sent, in every ExecMode.
+class ServerReadPathTest : public ::testing::TestWithParam<ExecMode> {};
+
+TEST_P(ServerReadPathTest, EverySocketReadIsOneEngineQuery) {
+  DatabaseOptions opts = SmallDbOptions();
+  opts.mode = GetParam();
+  Database db(opts);
   const auto data = test::MakeUniform(100000, kDomain, 33);
   db.LoadColumn("r", "a", data);
-  HolixServer server(db);  // shared_scans defaults on
+  HolixServer server(db);
   server.Start();
-  HolixClient client;
-  client.Connect("127.0.0.1", server.port());
-  const uint64_t sid = client.OpenSession();
 
-  Rng rng(34);
-  std::vector<uint64_t> ids;
-  std::vector<std::pair<int64_t, int64_t>> ranges;
-  for (int i = 0; i < 64; ++i) {
-    const int64_t lo = static_cast<int64_t>(rng.Below(kDomain));
-    const int64_t hi = lo + 1 + static_cast<int64_t>(rng.Below(kDomain / 2));
-    ranges.emplace_back(lo, hi);
-    ids.push_back(client.SendCountRange(sid, "r", "a", lo, hi));
+  constexpr int kConnections = 2;
+  constexpr int kReadsPerConnection = 64;
+  obs::Counter& queries = obs::MetricsRegistry::Global().GetCounter(
+      std::string("holix_queries_total{mode=\"") + ExecModeName(GetParam()) +
+      "\"}");
+  const uint64_t queries_before = queries.Value();
+
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kConnections; ++c) {
+    clients.emplace_back([&, c] {
+      HolixClient client;
+      client.Connect("127.0.0.1", server.port());
+      const uint64_t sid = client.OpenSession();
+      Rng rng(34 + c);
+      std::vector<uint64_t> ids;
+      std::vector<std::pair<int64_t, int64_t>> ranges;
+      for (int i = 0; i < kReadsPerConnection; ++i) {
+        const int64_t lo = static_cast<int64_t>(rng.Below(kDomain));
+        const int64_t hi =
+            lo + 1 + static_cast<int64_t>(rng.Below(kDomain / 2));
+        ranges.emplace_back(lo, hi);
+        if (i % 2 == 0) {
+          ids.push_back(client.SendCountRange(sid, "r", "a", KeyScalar::I64(lo),
+                                              KeyScalar::I64(hi)));
+        } else {
+          ids.push_back(client.SendExecuteQuery(
+              sid, "r", {{"a", KeyScalar::I64(lo), KeyScalar::I64(hi)}},
+              {{0, ""}}));
+        }
+      }
+      for (size_t i = 0; i < ids.size(); ++i) {
+        const size_t want =
+            test::NaiveCount(data, ranges[i].first, ranges[i].second);
+        if (i % 2 == 0) {
+          EXPECT_EQ(client.AwaitCount(ids[i]), want)
+              << "connection " << c << " request " << i;
+        } else {
+          const ExecuteQueryResult res = client.AwaitExecuteQuery(ids[i]);
+          ASSERT_EQ(res.values.size(), 1u);
+          EXPECT_TRUE(res.values[0] ==
+                      KeyScalar::I64(static_cast<int64_t>(want)))
+              << "connection " << c << " request " << i;
+        }
+      }
+    });
   }
-  for (size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(client.AwaitCount(ids[i]),
-              test::NaiveCount(data, ranges[i].first, ranges[i].second))
-        << "request " << i;
-  }
-  // Every count went through the coalescer; pipelined arrivals batched.
-  EXPECT_EQ(server.SharedScanRequests(), 64u);
-  EXPECT_GE(server.SharedScanBatches(), 1u);
-  EXPECT_LE(server.SharedScanBatches(), 64u);
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(queries.Value() - queries_before,
+            uint64_t{kConnections * kReadsPerConnection});
   server.Stop();
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllModes, ServerReadPathTest,
+    ::testing::Values(ExecMode::kScan, ExecMode::kOffline, ExecMode::kOnline,
+                      ExecMode::kAdaptive, ExecMode::kStochastic,
+                      ExecMode::kCCGI, ExecMode::kHolistic),
+    [](const auto& info) { return ExecModeName(info.param); });
 
 /// The wire stats plane is the in-process stats plane: on a quiesced
 /// engine, GetStats over loopback decodes to exactly the snapshot
@@ -743,7 +786,11 @@ TEST(Server, HttpMetricsEndpointServesPrometheusText) {
   EXPECT_NE(resp.find("HTTP/1.0 200 OK"), std::string::npos);
   EXPECT_NE(resp.find("holix_queries_total"), std::string::npos);
   EXPECT_NE(resp.find("holix_scan_bytes_total"), std::string::npos);
-  EXPECT_NE(resp.find("_bucket{le="), std::string::npos);
+  // The count above ran through the engine, so its latency histogram is
+  // exposed with cumulative buckets.
+  EXPECT_NE(
+      resp.find("holix_query_seconds_bucket{mode=\"adaptive\",le=\"+Inf\"}"),
+      std::string::npos);
   EXPECT_NE(http_get("/nope").find("HTTP/1.0 404"), std::string::npos);
 
   // Scrapes are not protocol connections or requests.
