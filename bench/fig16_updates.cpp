@@ -17,17 +17,18 @@ using namespace holix::bench;
 namespace {
 
 double RunScenario(Database& db, const std::vector<WorkloadOp>& ops) {
+  const ColumnHandle a0 = db.Resolve("r", "a0");
   double query_seconds = 0;
   for (const auto& op : ops) {
     switch (op.kind) {
       case WorkloadOp::Kind::kQuery: {
         Timer t;
-        db.CountRange("r", "a0", op.query.low, op.query.high);
+        db.Execute(QuerySpec().Where(a0, op.query.low, op.query.high).Count());
         query_seconds += t.ElapsedSeconds();
         break;
       }
       case WorkloadOp::Kind::kInsert:
-        db.Insert("r", "a0", op.insert_value);
+        db.InsertScalar(a0, op.insert_value);
         break;
       case WorkloadOp::Kind::kIdle:
         std::this_thread::sleep_for(

@@ -27,6 +27,17 @@ struct SocketRun {
   uint64_t checksum;
 };
 
+/// Pipelines one count query: a one-predicate ExecuteQuery frame.
+uint64_t SendCount(net::HolixClient& client, uint64_t session,
+                   const std::string& column, const RangeQuery& q) {
+  return client.SendExecuteQuery(session, "r", {{column, q.low, q.high}},
+                                 {{0, ""}});
+}
+
+uint64_t AwaitCount(net::HolixClient& client, uint64_t request) {
+  return static_cast<uint64_t>(client.AwaitExecuteQuery(request).values[0].i);
+}
+
 /// Drives \p clients socket clients against a fresh server over \p db:
 /// each client thread consumes queries round-robin (same driver shape as
 /// the in-process run), pipelining a small window of requests to keep the
@@ -67,15 +78,13 @@ SocketRun RunWorkloadOverSockets(Database& db,
         const size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= queries.size()) break;
         const RangeQuery& q = queries[i];
-        window.push_back(
-            client.SendCountRange(session, "r", columns[q.attr], q.low,
-                                  q.high));
+        window.push_back(SendCount(client, session, columns[q.attr], q));
         if (window.size() - head >= kWindow) {
-          local += client.AwaitCount(window[head++]);
+          local += AwaitCount(client, window[head++]);
         }
       }
       for (; head < window.size(); ++head) {
-        local += client.AwaitCount(window[head]);
+        local += AwaitCount(client, window[head]);
       }
       client.CloseSession(session);
       checksum.fetch_add(local, std::memory_order_relaxed);
@@ -134,7 +143,7 @@ SocketRun RunWorkloadMultiplexed(Database& db,
         bool sent = false;
         for (auto& cs : conns) {
           if (cs.window.size() >= kWindow) {
-            local += cs.cli.AwaitCount(cs.window.front());
+            local += AwaitCount(cs.cli, cs.window.front());
             cs.window.pop_front();
           }
           const size_t i = next.fetch_add(1, std::memory_order_relaxed);
@@ -143,16 +152,14 @@ SocketRun RunWorkloadMultiplexed(Database& db,
             break;
           }
           const RangeQuery& q = queries[i];
-          cs.window.push_back(cs.cli.SendCountRange(cs.sid, "r",
-                                                    columns[q.attr], q.low,
-                                                    q.high));
+          cs.window.push_back(SendCount(cs.cli, cs.sid, columns[q.attr], q));
           sent = true;
         }
         if (!sent) break;
       }
       for (auto& cs : conns) {
         while (!cs.window.empty()) {
-          local += cs.cli.AwaitCount(cs.window.front());
+          local += AwaitCount(cs.cli, cs.window.front());
           cs.window.pop_front();
         }
         cs.cli.CloseSession(cs.sid);

@@ -28,8 +28,10 @@ double RunQueries(Database& db, const std::vector<std::string>& names,
   double total = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
     Timer t;
-    db.CountRange("r", names[queries[i].attr], queries[i].low,
-                  queries[i].high);
+    db.Execute(QuerySpec()
+                   .Where(db.Resolve("r", names[queries[i].attr]),
+                          queries[i].low, queries[i].high)
+                   .Count());
     const double s = t.ElapsedSeconds();
     if (i == 0 && first != nullptr) *first = s;
     total += s;
@@ -85,8 +87,9 @@ int main() {
     pm.Checkpoint();
     checkpoint_seconds = ckpt.ElapsedSeconds();
     Timer wal;
+    const ColumnHandle a0 = db.Resolve("r", "a0");
     for (size_t i = 0; i < wal_tail; ++i) {
-      db.Insert("r", "a0", env.domain + 1 + static_cast<int64_t>(i));
+      db.InsertScalar(a0, env.domain + 1 + static_cast<int64_t>(i));
     }
     wal_seconds = wal.ElapsedSeconds();
   }
@@ -99,8 +102,9 @@ int main() {
     Database db(PlainOptions(ExecMode::kAdaptive, env.cores));
     Timer load;
     LoadUniformTable(db, "r", kAttrs, env.rows, env.domain, env.seed);
+    const ColumnHandle a0 = db.Resolve("r", "a0");
     for (size_t i = 0; i < wal_tail; ++i) {
-      db.Insert("r", "a0", env.domain + 1 + static_cast<int64_t>(i));
+      db.InsertScalar(a0, env.domain + 1 + static_cast<int64_t>(i));
     }
     cold_load_seconds = load.ElapsedSeconds();
     cold_total = RunQueries(db, names, queries, &cold_first);

@@ -20,21 +20,26 @@
 /// GetStats) and prints the human-readable one-pager: every holix_*
 /// counter/gauge/histogram plus the recent-query trace ring.
 ///
-/// `query` is the protocol-v3 declarative form: a conjunction of range
+/// `query` is the general declarative form: a conjunction of range
 /// predicates (each one cracks its own index server-side) answered with
 /// any mix of count / per-column sums / rowids in one round trip; with no
-/// result keyword it defaults to `count`.
+/// result keyword it defaults to `count`. `count`, `sum`, `select` and
+/// `psum` are its one-predicate, one-result shorthands: each sends the
+/// same ExecuteQuery frame `query` would.
 ///
 /// Bounds and values are typed: a token that parses as a plain integer is
 /// sent as an int64 scalar, anything else ("2.5", "1e9", "inf", "nan") as
 /// a double scalar. Sums over double columns print as doubles.
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "server/client.h"
@@ -67,6 +72,32 @@ void PrintScalar(const KeyScalar& s) {
   } else {
     std::printf("%lld\n", static_cast<long long>(s.i));
   }
+}
+
+void PrintRowIds(const std::vector<uint64_t>& rowids) {
+  std::printf("%zu rowids", rowids.size());
+  for (size_t i = 0; i < rowids.size() && i < 8; ++i) {
+    std::printf(" %llu", static_cast<unsigned long long>(rowids[i]));
+  }
+  std::printf(rowids.size() > 8 ? " ...\n" : "\n");
+}
+
+void Usage() {
+  std::fprintf(stderr, "usage: holix_cli [--host H] [--port N]\n");
+}
+
+/// Parses a whole token as a TCP port in [1, 65535]; anything else
+/// (overflow, a sign, trailing characters, 0) prints the usage and exits 2.
+uint16_t ParsePort(const char* text) {
+  const char* end = text + std::strlen(text);
+  uint16_t port = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, port);
+  if (ec != std::errc{} || ptr != end || port == 0) {
+    std::fprintf(stderr, "bad value '%s' for --port\n", text);
+    Usage();
+    std::exit(2);
+  }
+  return port;
 }
 
 void PrintHelp() {
@@ -141,9 +172,9 @@ int main(int argc, char** argv) {
     if (arg == "--host") {
       host = next();
     } else if (arg == "--port") {
-      port = static_cast<uint16_t>(std::atoi(next()));
+      port = ParsePort(next());
     } else {
-      std::fprintf(stderr, "usage: holix_cli [--host H] [--port N]\n");
+      Usage();
       return arg == "--help" ? 0 : 2;
     }
   }
@@ -175,30 +206,37 @@ int main(int argc, char** argv) {
         PrintHelp();
       } else if (cmd == "stats") {
         std::printf("%s", holix::obs::HumanText(client.GetStats()).c_str());
-      } else if (cmd == "count" || cmd == "sum" || cmd == "select") {
-        std::string table, column, lo_tok, hi_tok;
+      } else if (cmd == "count" || cmd == "sum" || cmd == "select" ||
+                 cmd == "psum") {
+        // One predicate, one result: count / sum(column) / rowids /
+        // sum(project column) over `column in [low, high)`.
+        const bool psum = cmd == "psum";
+        std::string table, column, proj_col, lo_tok, hi_tok;
         KeyScalar low, high;
-        if (!(in >> table >> column >> lo_tok >> hi_tok) ||
-            !ParseScalar(lo_tok, &low) || !ParseScalar(hi_tok, &high)) {
-          std::printf("usage: %s <table> <column> <low> <high>\n",
-                      cmd.c_str());
+        if (!(in >> table >> column) || (psum && !(in >> proj_col)) ||
+            !(in >> lo_tok >> hi_tok) || !ParseScalar(lo_tok, &low) ||
+            !ParseScalar(hi_tok, &high)) {
+          if (psum) {
+            std::printf("usage: psum <table> <where> <proj> <low> <high>\n");
+          } else {
+            std::printf("usage: %s <table> <column> <low> <high>\n",
+                        cmd.c_str());
+          }
           continue;
         }
+        holix::net::QueryResultSpecWire result{0, ""};
+        if (cmd == "sum") result = {1, column};
+        if (cmd == "select") result = {2, ""};
+        if (psum) result = {3, proj_col};
+        const auto res = client.ExecuteQuery(session, table,
+                                             {{column, low, high}}, {result});
         if (cmd == "count") {
           std::printf("%llu\n",
-                      static_cast<unsigned long long>(client.CountRangeScalar(
-                          session, table, column, low, high)));
-        } else if (cmd == "sum") {
-          PrintScalar(
-              client.SumRangeScalar(session, table, column, low, high));
+                      static_cast<unsigned long long>(res.values[0].i));
+        } else if (cmd == "select") {
+          PrintRowIds(res.rowids);
         } else {
-          const auto rowids =
-              client.SelectRowIdsScalar(session, table, column, low, high);
-          std::printf("%zu rowids", rowids.size());
-          for (size_t i = 0; i < rowids.size() && i < 8; ++i) {
-            std::printf(" %llu", static_cast<unsigned long long>(rowids[i]));
-          }
-          std::printf(rowids.size() > 8 ? " ...\n" : "\n");
+          PrintScalar(res.values[0]);
         }
       } else if (cmd == "query") {
         std::string table;
@@ -213,26 +251,11 @@ int main(int argc, char** argv) {
         const auto res = client.ExecuteQuery(session, table, preds, results);
         for (size_t i = 0; i < results.size() && i < res.values.size(); ++i) {
           if (results[i].kind == 2) {
-            std::printf("%zu rowids", res.rowids.size());
-            for (size_t j = 0; j < res.rowids.size() && j < 8; ++j) {
-              std::printf(" %llu",
-                          static_cast<unsigned long long>(res.rowids[j]));
-            }
-            std::printf(res.rowids.size() > 8 ? " ...\n" : "\n");
+            PrintRowIds(res.rowids);
           } else {
             PrintScalar(res.values[i]);
           }
         }
-      } else if (cmd == "psum") {
-        std::string table, where_col, proj_col, lo_tok, hi_tok;
-        KeyScalar low, high;
-        if (!(in >> table >> where_col >> proj_col >> lo_tok >> hi_tok) ||
-            !ParseScalar(lo_tok, &low) || !ParseScalar(hi_tok, &high)) {
-          std::printf("usage: psum <table> <where> <proj> <low> <high>\n");
-          continue;
-        }
-        PrintScalar(client.ProjectSumScalar(session, table, where_col,
-                                            proj_col, low, high));
       } else if (cmd == "insert" || cmd == "delete") {
         std::string table, column, val_tok;
         KeyScalar value;

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <future>
+#include <utility>
 #include <vector>
 
 #include "engine/database.h"
@@ -50,7 +51,9 @@ int main() {
 
   for (size_t i = 0; i < queries.size(); ++i) {
     const auto& q = queries[i];
-    const size_t n = session.CountRange(handles[q.attr], q.low, q.high);
+    QuerySpec count;
+    count.Where(handles[q.attr], q.low, q.high).Count();
+    const auto n = static_cast<size_t>(session.Execute(count).values[0].i);
     if ((i + 1) % 16 == 0 || i == 0) {
       std::printf("query %3zu: count(a%zu in [%lld, %lld)) = %zu | "
                   "indices=%zu pieces=%zu\n",
@@ -61,13 +64,14 @@ int main() {
   }
 
   // Async submission: overlap a batch of counts through the client pool.
-  std::vector<std::future<size_t>> batch;
+  std::vector<std::future<QueryResult>> batch;
   for (size_t a = 0; a < handles.size(); ++a) {
-    batch.push_back(
-        session.SubmitCountRange(handles[a], 0, domain / 2));
+    QuerySpec below;
+    below.Where(handles[a], 0, domain / 2).Count();
+    batch.push_back(session.SubmitExecute(std::move(below)));
   }
   size_t below_half = 0;
-  for (auto& f : batch) below_half += f.get();
+  for (auto& f : batch) below_half += static_cast<size_t>(f.get().values[0].i);
   std::printf("\nasync batch: %zu values below domain/2 across 3 attributes\n",
               below_half);
 

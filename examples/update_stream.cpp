@@ -16,6 +16,18 @@
 
 using namespace holix;
 
+namespace {
+
+/// select count(*) where lo <= column < hi, through the session.
+size_t CountRows(Session& session, const ColumnHandle& column, int64_t lo,
+                 int64_t hi) {
+  QuerySpec spec;
+  spec.Where(column, lo, hi).Count();
+  return static_cast<size_t>(session.Execute(spec).values[0].i);
+}
+
+}  // namespace
+
 int main() {
   const size_t rows = ScaledSize(1u << 20);
   const int64_t domain = 1 << 20;
@@ -41,19 +53,20 @@ int main() {
   for (size_t round = 0; round < rounds; ++round) {
     // A burst of fresh orders...
     for (int i = 0; i < 20; ++i) {
-      session.Insert(amount, static_cast<int64_t>(rng.Below(domain)));
+      session.InsertScalar(amount, static_cast<int64_t>(rng.Below(domain)));
       ++total_rows;
     }
     // ...a few cancellations...
     for (int i = 0; i < 5; ++i) {
-      if (session.Delete(amount, static_cast<int64_t>(rng.Below(domain)))) {
+      if (session.DeleteScalar(amount,
+                               static_cast<int64_t>(rng.Below(domain)))) {
         --total_rows;
       }
     }
     // ...and an analyst query over a random amount band.
     const int64_t lo = static_cast<int64_t>(rng.Below(domain));
     const int64_t hi = std::min<int64_t>(domain, lo + domain / 100);
-    const size_t count = session.CountRange(amount, lo, hi);
+    const size_t count = CountRows(session, amount, lo, hi);
     if ((round + 1) % 10 == 0) {
       const auto idx = db.holistic()->store().Find("orders.amount");
       std::printf("round %3zu: band [%7lld,%7lld) -> %6zu rows | "
@@ -68,7 +81,7 @@ int main() {
   }
 
   // Verify the full count converges to loaded + inserted - deleted.
-  const size_t full = session.CountRange(amount, 0, domain);
+  const size_t full = CountRows(session, amount, 0, domain);
   std::printf("\nfinal count over the whole domain: %zu (expected %zu) %s\n",
               full, total_rows, full == total_rows ? "OK" : "MISMATCH");
   std::printf("session wall time: %.3fs; background cracks: %llu\n",

@@ -156,45 +156,7 @@ QueryResult Database::Execute(const QuerySpec& spec,
   return executor_->Execute(spec, qctx);
 }
 
-// --- Scalar shims (one-predicate QuerySpecs) --------------------------------
-
-size_t Database::CountRangeScalar(const ColumnHandle& column, KeyScalar low,
-                                  KeyScalar high, const QueryContext& qctx) {
-  return static_cast<size_t>(
-      Execute(QuerySpec::Single(column, low, high,
-                                {ResultRequest::kCount, {}}),
-              qctx)
-          .values[0]
-          .i);
-}
-
-KeyScalar Database::SumRangeScalar(const ColumnHandle& column, KeyScalar low,
-                                   KeyScalar high, const QueryContext& qctx) {
-  return Execute(QuerySpec::Single(column, low, high,
-                                   {ResultRequest::kSum, column}),
-                 qctx)
-      .values[0];
-}
-
-PositionList Database::SelectRowIdsScalar(const ColumnHandle& column,
-                                          KeyScalar low, KeyScalar high,
-                                          const QueryContext& qctx) {
-  return std::move(Execute(QuerySpec::Single(column, low, high,
-                                             {ResultRequest::kRowIds, {}}),
-                           qctx)
-                       .rowids);
-}
-
-KeyScalar Database::ProjectSumScalar(const ColumnHandle& where_column,
-                                     const ColumnHandle& project_column,
-                                     KeyScalar low, KeyScalar high,
-                                     const QueryContext& qctx) {
-  return Execute(QuerySpec::Single(where_column, low, high,
-                                   {ResultRequest::kProjectSum,
-                                    project_column}),
-                 qctx)
-      .values[0];
-}
+// --- Updates ----------------------------------------------------------------
 
 RowId Database::InsertScalar(const ColumnHandle& column, KeyScalar value,
                              const QueryContext& qctx) {
@@ -480,85 +442,6 @@ void Database::FinishRestore(const DurableDatabaseState& state) {
   obs::RecoveryStageSeconds("restore_pieces").Observe(restore_s);
   obs::RecoveryStageSeconds("check_invariants").Observe(check_s);
   obs::RecoveryStageSeconds("register").Observe(register_s);
-}
-
-// --- int64 facade -----------------------------------------------------------
-
-size_t Database::CountRange(const ColumnHandle& column, int64_t low,
-                            int64_t high, const QueryContext& qctx) {
-  return CountRangeScalar(column, KeyScalar::I64(low), KeyScalar::I64(high),
-                          qctx);
-}
-
-int64_t Database::SumRange(const ColumnHandle& column, int64_t low,
-                           int64_t high, const QueryContext& qctx) {
-  return SumRangeScalar(column, KeyScalar::I64(low), KeyScalar::I64(high),
-                        qctx)
-      .AsI64Saturating();
-}
-
-PositionList Database::SelectRowIds(const ColumnHandle& column, int64_t low,
-                                    int64_t high, const QueryContext& qctx) {
-  return SelectRowIdsScalar(column, KeyScalar::I64(low), KeyScalar::I64(high),
-                            qctx);
-}
-
-int64_t Database::ProjectSum(const ColumnHandle& where_column,
-                             const ColumnHandle& project_column, int64_t low,
-                             int64_t high, const QueryContext& qctx) {
-  return ProjectSumScalar(where_column, project_column, KeyScalar::I64(low),
-                          KeyScalar::I64(high), qctx)
-      .AsI64Saturating();
-}
-
-RowId Database::Insert(const ColumnHandle& column, int64_t value,
-                       const QueryContext& qctx) {
-  return InsertScalar(column, KeyScalar::I64(value), qctx);
-}
-
-bool Database::Delete(const ColumnHandle& column, int64_t value,
-                      const QueryContext& qctx) {
-  return DeleteScalar(column, KeyScalar::I64(value), qctx);
-}
-
-// --- double facade ----------------------------------------------------------
-
-size_t Database::CountRangeF64(const ColumnHandle& column, double low,
-                               double high, const QueryContext& qctx) {
-  return CountRangeScalar(column, KeyScalar::F64(low), KeyScalar::F64(high),
-                          qctx);
-}
-
-double Database::SumRangeF64(const ColumnHandle& column, double low,
-                             double high, const QueryContext& qctx) {
-  return SumRangeScalar(column, KeyScalar::F64(low), KeyScalar::F64(high),
-                        qctx)
-      .AsF64();
-}
-
-PositionList Database::SelectRowIdsF64(const ColumnHandle& column, double low,
-                                       double high,
-                                       const QueryContext& qctx) {
-  return SelectRowIdsScalar(column, KeyScalar::F64(low), KeyScalar::F64(high),
-                            qctx);
-}
-
-double Database::ProjectSumF64(const ColumnHandle& where_column,
-                               const ColumnHandle& project_column, double low,
-                               double high, const QueryContext& qctx) {
-  return ProjectSumScalar(where_column, project_column, KeyScalar::F64(low),
-                          KeyScalar::F64(high), qctx)
-      .AsF64();
-}
-
-RowId Database::InsertF64(const ColumnHandle& column, double value,
-                          const QueryContext& qctx) {
-  return InsertScalar(column, KeyScalar::F64(value), qctx);
-}
-
-bool Database::DeleteF64(const ColumnHandle& column, double value,
-                         const QueryContext& qctx) {
-  return DeleteScalar(column, KeyScalar::F64(value), qctx);
 }
 
 size_t Database::TotalIndexPieces() const {

@@ -195,7 +195,7 @@ class ExecutorBase : public QueryExecutor {
   explicit ExecutorBase(const EngineContext& ctx) : ctx_(ctx) {}
 
   /// The declarative entry point: validate, then either dispatch the
-  /// legacy one-predicate/one-result shape onto the mode-native operator,
+  /// one-predicate/one-result shape onto the mode-native operator,
   /// or plan and execute the conjunction (see query_executor.h).
   QueryResult Execute(const QuerySpec& spec, const QueryContext& qctx) override {
     if (spec.predicates.empty()) {
@@ -233,10 +233,11 @@ class ExecutorBase : public QueryExecutor {
     return out;
   }
 
+ protected:
   QueryResult ExecuteValidated(const QuerySpec& spec,
                                const QueryContext& qctx) {
     if (spec.predicates.size() == 1 && spec.results.size() == 1) {
-      return ExecuteLegacyShape(spec, qctx);
+      return ExecuteSingle(spec, qctx);
     }
     PositionList rows;
     if (spec.predicates.size() == 1) {
@@ -256,14 +257,45 @@ class ExecutorBase : public QueryExecutor {
     return MaterializeResults(spec, std::move(rows));
   }
 
-  /// Default late reconstruction: materialize rowids via the mode's select,
-  /// then project positionally through the base column.
-  KeyScalar ProjectSum(const ColumnHandle& where_column,
-                       const ColumnHandle& project_column, KeyScalar low,
-                       KeyScalar high, const QueryContext& qctx) override {
+  // --- The mode-native one-predicate operators (§3.1 shapes) -------------
+  //
+  // Execute dispatches a one-predicate/one-result spec straight onto these;
+  // planned conjunctions drive SelectRowIds. Bounds clamp into the column
+  // type's total order (query_executor.h).
+
+  /// select count(*) where low <= column < high.
+  virtual size_t CountRange(const ColumnHandle& column, KeyScalar low,
+                            KeyScalar high, const QueryContext& qctx) = 0;
+
+  /// select sum(column) where low <= column < high. The result carrier
+  /// follows the column type: int64 for integer columns, double for double
+  /// columns (a sum over rows holding the NaN key is NaN).
+  virtual KeyScalar SumRange(const ColumnHandle& column, KeyScalar low,
+                             KeyScalar high, const QueryContext& qctx) = 0;
+
+  /// Materializes qualifying rowids in the mode's native order.
+  virtual PositionList SelectRowIds(const ColumnHandle& column, KeyScalar low,
+                                    KeyScalar high,
+                                    const QueryContext& qctx) = 0;
+
+  /// select sum(project) where low <= where < high (late reconstruction);
+  /// the carrier follows the PROJECT column's type. Default: materialize
+  /// rowids via the mode's select, then sum positionally in that order.
+  virtual KeyScalar ProjectSum(const ColumnHandle& where_column,
+                               const ColumnHandle& project_column,
+                               KeyScalar low, KeyScalar high,
+                               const QueryContext& qctx) {
     ColumnEntry& pe = Entry(project_column);
     CheckSameTable(Entry(where_column), pe);
-    const PositionList rows = SelectRowIds(where_column, low, high, qctx);
+    return PositionalSum(pe, SelectRowIds(where_column, low, high, qctx));
+  }
+
+  /// Sums column \p pe over \p rows in the order given, positionally
+  /// through the base column; rowids past the base resolve through the
+  /// pending registry, and a row never inserted into this attribute (e.g.
+  /// appended on the WHERE column only) adds nothing. The row order is the
+  /// summation order, so it fixes the bits of a double sum.
+  KeyScalar PositionalSum(ColumnEntry& pe, const PositionList& rows) const {
     return DispatchIndexableType(pe.type(), [&](auto tag) -> KeyScalar {
       using P = typename decltype(tag)::type;
       const Column<P>& proj = *pe.runtime<P>().base;
@@ -274,7 +306,7 @@ class ExecutorBase : public QueryExecutor {
         if (rid < n) {
           v = proj[rid];
         } else if (!AppendedValueFor<P>(pe, rid, &v)) {
-          continue;  // appended on the WHERE column only; no value here
+          continue;
         }
         sum += static_cast<typename KeyTraits<P>::Sum>(v);
       }
@@ -282,7 +314,6 @@ class ExecutorBase : public QueryExecutor {
     });
   }
 
- protected:
   /// Validates the handle and returns its entry: null handles are caller
   /// bugs, dropped entries mean the table is gone (base data freed).
   ColumnEntry& Entry(const ColumnHandle& h) const {
@@ -561,9 +592,8 @@ class ExecutorBase : public QueryExecutor {
   virtual void RefineHint(ColumnEntry&, KeyScalar, KeyScalar,
                           const QueryContext&) {}
 
-  /// The one-predicate/one-result shape: exactly the legacy primitive.
-  QueryResult ExecuteLegacyShape(const QuerySpec& spec,
-                                 const QueryContext& qctx) {
+  /// The one-predicate/one-result shape: the mode-native operator.
+  QueryResult ExecuteSingle(const QuerySpec& spec, const QueryContext& qctx) {
     const RangePredicate& p = spec.predicates[0];
     const ResultSpec& r = spec.results[0];
     QueryResult out;
@@ -613,27 +643,9 @@ class ExecutorBase : public QueryExecutor {
               KeyScalar::I64(static_cast<int64_t>(rows.size())));
           break;
         case ResultRequest::kSum:
-        case ResultRequest::kProjectSum: {
-          ColumnEntry& pe = Entry(r.column);
-          out.values.push_back(
-              DispatchIndexableType(pe.type(), [&](auto tag) -> KeyScalar {
-                using P = typename decltype(tag)::type;
-                const Column<P>& proj = *pe.runtime<P>().base;
-                const size_t n = proj.size();
-                typename KeyTraits<P>::Sum sum = 0;
-                for (RowId rid : rows) {
-                  P v{};
-                  if (rid < n) {
-                    v = proj[rid];
-                  } else if (!AppendedValueFor<P>(pe, rid, &v)) {
-                    continue;  // row was never inserted into this attribute
-                  }
-                  sum += static_cast<typename KeyTraits<P>::Sum>(v);
-                }
-                return WrapSum<P>(sum);
-              }));
+        case ResultRequest::kProjectSum:
+          out.values.push_back(PositionalSum(Entry(r.column), rows));
           break;
-        }
       }
     }
     if (want_rowids) out.rowids = std::move(rows);
@@ -661,6 +673,7 @@ class ScanExecutor : public ExecutorBase {
  public:
   using ExecutorBase::ExecutorBase;
 
+ protected:
   size_t CountRange(const ColumnHandle& h, KeyScalar lo, KeyScalar hi,
                     const QueryContext&) override {
     ColumnEntry& e = Entry(h);
@@ -705,6 +718,7 @@ class OfflineExecutor : public ExecutorBase {
     SortAllColumns();
   }
 
+ protected:
   size_t CountRange(const ColumnHandle& h, KeyScalar lo, KeyScalar hi,
                     const QueryContext&) override {
     EnsurePrepared();
@@ -756,6 +770,7 @@ class OnlineExecutor : public ExecutorBase {
  public:
   using ExecutorBase::ExecutorBase;
 
+ protected:
   size_t CountRange(const ColumnHandle& h, KeyScalar lo, KeyScalar hi,
                     const QueryContext&) override {
     ColumnEntry& e = Entry(h);
@@ -812,6 +827,61 @@ class CrackingExecutor : public ExecutorBase {
  public:
   using ExecutorBase::ExecutorBase;
 
+  RowId Insert(const ColumnHandle& h, KeyScalar value,
+               const QueryContext& qctx) override {
+    ColumnEntry& e = Entry(h);
+    return DispatchIndexableType(e.type(), [&](auto tag) -> RowId {
+      using T = typename decltype(tag)::type;
+      T v{};
+      if (!KeyFromScalar<T>(value, &v)) {
+        throw std::out_of_range("insert value out of column domain: " +
+                                e.key());
+      }
+      auto cracker = EnsureCracker<T>(e, qctx);
+      const RowId rid =
+          ctx_.next_rowid->fetch_add(1, std::memory_order_relaxed);
+      cracker->pending().AddInsert(v, rid);
+      return rid;
+    });
+  }
+
+  bool Delete(const ColumnHandle& h, KeyScalar value, const QueryContext& qctx,
+              RowId* deleted_rid) override {
+    ColumnEntry& e = Entry(h);
+    return DispatchIndexableType(e.type(), [&](auto tag) -> bool {
+      using T = typename decltype(tag)::type;
+      T v{};
+      if (!KeyFromScalar<T>(value, &v)) return false;
+      auto cracker = EnsureCracker<T>(e, qctx);
+      const CrackConfig cfg = QueryCrackConfig(qctx);
+      // Resolve the rowid of one matching row: select the closed unit range
+      // [v, v] (this is itself an index-refining access; the closed form
+      // keeps the type's maximum key deletable) and take the first
+      // qualifying rowid. A concurrent Ripple merge (holistic worker) may
+      // shift positions between the select and the read, so verify and
+      // retry.
+      for (int attempt = 0; attempt < 8; ++attempt) {
+        const PositionRange r = cracker->SelectRangeClosed(v, v, cfg);
+        if (r.empty()) return false;
+        bool found = false;
+        RowId rid = 0;
+        cracker->ScanRange({r.begin, r.begin + 1}, [&](T val, RowId rr) {
+          if (KeyTraits<T>::Eq(val, v)) {
+            rid = rr;
+            found = true;
+          }
+        });
+        if (found) {
+          cracker->pending().AddDelete(v, rid);
+          if (deleted_rid != nullptr) *deleted_rid = rid;
+          return true;
+        }
+      }
+      return false;
+    });
+  }
+
+ protected:
   size_t CountRange(const ColumnHandle& h, KeyScalar lo, KeyScalar hi,
                     const QueryContext& qctx) override {
     ColumnEntry& e = Entry(h);
@@ -883,61 +953,6 @@ class CrackingExecutor : public ExecutorBase {
     });
   }
 
-  RowId Insert(const ColumnHandle& h, KeyScalar value,
-               const QueryContext& qctx) override {
-    ColumnEntry& e = Entry(h);
-    return DispatchIndexableType(e.type(), [&](auto tag) -> RowId {
-      using T = typename decltype(tag)::type;
-      T v{};
-      if (!KeyFromScalar<T>(value, &v)) {
-        throw std::out_of_range("insert value out of column domain: " +
-                                e.key());
-      }
-      auto cracker = EnsureCracker<T>(e, qctx);
-      const RowId rid =
-          ctx_.next_rowid->fetch_add(1, std::memory_order_relaxed);
-      cracker->pending().AddInsert(v, rid);
-      return rid;
-    });
-  }
-
-  bool Delete(const ColumnHandle& h, KeyScalar value, const QueryContext& qctx,
-              RowId* deleted_rid) override {
-    ColumnEntry& e = Entry(h);
-    return DispatchIndexableType(e.type(), [&](auto tag) -> bool {
-      using T = typename decltype(tag)::type;
-      T v{};
-      if (!KeyFromScalar<T>(value, &v)) return false;
-      auto cracker = EnsureCracker<T>(e, qctx);
-      const CrackConfig cfg = QueryCrackConfig(qctx);
-      // Resolve the rowid of one matching row: select the closed unit range
-      // [v, v] (this is itself an index-refining access; the closed form
-      // keeps the type's maximum key deletable) and take the first
-      // qualifying rowid. A concurrent Ripple merge (holistic worker) may
-      // shift positions between the select and the read, so verify and
-      // retry.
-      for (int attempt = 0; attempt < 8; ++attempt) {
-        const PositionRange r = cracker->SelectRangeClosed(v, v, cfg);
-        if (r.empty()) return false;
-        bool found = false;
-        RowId rid = 0;
-        cracker->ScanRange({r.begin, r.begin + 1}, [&](T val, RowId rr) {
-          if (KeyTraits<T>::Eq(val, v)) {
-            rid = rr;
-            found = true;
-          }
-        });
-        if (found) {
-          cracker->pending().AddDelete(v, rid);
-          if (deleted_rid != nullptr) *deleted_rid = rid;
-          return true;
-        }
-      }
-      return false;
-    });
-  }
-
- protected:
   /// A probed conjunct still refines its attribute's adaptive index: crack
   /// at the query bounds (Select without materialization), so repeated
   /// multi-predicate queries converge on every predicate column — and the

@@ -1,13 +1,17 @@
 /// \file query_executor.h
 /// \brief Per-mode query execution strategies over resolved column handles.
 ///
-/// Each ExecMode is one strategy object implementing the four §3.1 operator
-/// shapes (CountRange / SumRange / SelectRowIds / ProjectSum) plus the
-/// update entry points, all over a ColumnHandle — the facade resolves names
-/// once and the executors never hash a string or take a global mutex on the
-/// query hot path. Executors are type-generic: they dispatch on the
-/// handle's element type and run the typed cracker / sorted-index / scan
-/// machinery (int32_t, int64_t and double).
+/// Each ExecMode is one strategy object behind a small interface: Execute
+/// answers every read (a QuerySpec, query_spec.h), Insert/Delete queue
+/// updates, Prepare and SeedPotential carry the mode-specific extras. All
+/// of it runs over ColumnHandles — the facade resolves names once and the
+/// executors never hash a string or take a global mutex on the query hot
+/// path. Inside each strategy the one-predicate reads land on the mode's
+/// native operators (the §3.1 count / sum / rowid-select / projected-sum
+/// shapes), which are implementation details of query_executor.cpp.
+/// Executors are type-generic: they dispatch on the handle's element type
+/// and run the typed cracker / sorted-index / scan machinery (int32_t,
+/// int64_t and double).
 ///
 /// Bounds and values cross this interface as KeyScalar (a tagged
 /// int64-or-double), the same shape the wire protocol carries: the typed
@@ -62,7 +66,7 @@ class QueryExecutor {
   /// Executes a declarative QuerySpec (see query_spec.h for semantics).
   ///
   /// One predicate + one result dispatches straight onto the mode-native
-  /// operator below (the legacy primitives are shims over this). A
+  /// operator (count, sum, rowid select or late-reconstruction sum). A
   /// conjunction is *planned*: predicates are ordered by estimated
   /// selectivity — cracker piece boundaries when an adaptive index exists,
   /// sorted-index counts when one is built, [min, max] rank interpolation
@@ -79,30 +83,6 @@ class QueryExecutor {
   /// several tables.
   virtual QueryResult Execute(const QuerySpec& spec,
                               const QueryContext& qctx) = 0;
-
-  /// select count(*) where low <= column < high (in the column type's
-  /// total order, after clamping the scalar bounds into its domain).
-  virtual size_t CountRange(const ColumnHandle& column, KeyScalar low,
-                            KeyScalar high, const QueryContext& qctx) = 0;
-
-  /// select sum(column) where low <= column < high. The result carrier
-  /// follows the column type: int64 for integer columns, double for double
-  /// columns (a sum over rows holding the NaN key is NaN).
-  virtual KeyScalar SumRange(const ColumnHandle& column, KeyScalar low,
-                             KeyScalar high, const QueryContext& qctx) = 0;
-
-  /// Materializes qualifying rowids.
-  virtual PositionList SelectRowIds(const ColumnHandle& column, KeyScalar low,
-                                    KeyScalar high,
-                                    const QueryContext& qctx) = 0;
-
-  /// select sum(project) where low <= where < high (late reconstruction).
-  /// Both handles must belong to the same table; the result carrier
-  /// follows the PROJECT column's type.
-  virtual KeyScalar ProjectSum(const ColumnHandle& where_column,
-                               const ColumnHandle& project_column,
-                               KeyScalar low, KeyScalar high,
-                               const QueryContext& qctx) = 0;
 
   /// Pending-queue insert; cracking modes only (throws otherwise). A
   /// double-carrier value against an integer column must be integral and

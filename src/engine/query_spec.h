@@ -1,39 +1,39 @@
 /// \file query_spec.h
-/// \brief QuerySpec: the declarative query description every read-side
-/// entry point of the engine reduces to.
+/// \brief QuerySpec: the declarative query description every read of the
+/// engine is, and the typed fluent helpers that construct it.
 ///
 /// A QuerySpec names one target table, a *conjunction* of 1..N range
 /// predicates — each `(ColumnHandle, KeyScalar low, KeyScalar high)` with
 /// the engine's usual half-open `[low, high)` semantics and closed-bound
 /// degradation at the total-order top — and one or more result requests
-/// (count, per-column sums, materialized rowids). The former per-primitive
-/// facade calls (`CountRange*`, `SumRange*`, `SelectRowIds*`,
-/// `ProjectSum*` in all their int64/F64/Scalar clothes) are thin shims
-/// building one-predicate specs; multi-predicate specs open the paper's
-/// own TPC-H Q6 shape — conjunctive ranges over `l_shipdate`,
-/// `l_discount`, `l_quantity` — on the adaptive-indexing hot path, where
-/// every predicate cracks its own index as a side effect (holistic
-/// refinement keeps working per attribute, exactly as in the paper).
+/// (count, per-column sums, materialized rowids). Database::Execute,
+/// Session::Execute/SubmitExecute and the wire's ExecuteQuery frame all
+/// take one. The fluent helpers below (`Where`, `Count`, `Sum`, `RowIds`,
+/// `ProjectSum`, `QuerySpec::Single`) build one: the paper's §3.1 select
+/// is a one-predicate spec, and multi-predicate specs open its TPC-H Q6
+/// shape — conjunctive ranges over `l_shipdate`, `l_discount`,
+/// `l_quantity` — on the adaptive-indexing hot path, where every
+/// predicate cracks its own index as a side effect (holistic refinement
+/// keeps working per attribute, exactly as in the paper).
 ///
 /// Result semantics (pinned by query_spec_test):
 ///  * With one predicate and one result the spec executes on the mode's
-///    native operator — bit-for-bit the legacy primitive, including the
-///    cracked SumRange fast path and the mode's native rowid order.
+///    native operator, including the cracked in-place sum fast path and
+///    the mode's native rowid order.
 ///  * Every other shape (N >= 2 predicates, or several results) first
 ///    materializes the qualifying row set, sorted ascending by rowid, and
 ///    computes each aggregate positionally through the base column in that
 ///    order — so counts, rowids AND double sums are bit-identical across
 ///    all seven execution modes and across predicate orderings.
-///  * Rows appended by a single-column Insert participate on the column
+///  * Rows appended by a single-column insert participate on the column
 ///    they were inserted into: their values live in that column's pending
 ///    registry (which survives Ripple merges), and the positional paths —
 ///    probe filters, materialized sums — consult it for rowids at or past
 ///    the base row count. A row qualifies iff EVERY predicate column holds
 ///    a qualifying value for it, so a conjunction naturally excludes rows
 ///    inserted into only one of its predicate columns, while a
-///    single-predicate spec (any result shape) sees them exactly like the
-///    legacy primitives do. Count, rowids and sums always agree about
-///    which rows qualify.
+///    single-predicate spec (any result shape) sees them. Count, rowids
+///    and sums always agree about which rows qualify.
 
 #pragma once
 
@@ -109,7 +109,7 @@ struct QuerySpec {
     return *this;
   }
 
-  /// The one-predicate spec the legacy facade primitives reduce to.
+  /// The one-predicate, one-result spec (the §3.1 select shape).
   static QuerySpec Single(ColumnHandle column, KeyScalar low, KeyScalar high,
                           ResultSpec result) {
     QuerySpec spec;
@@ -124,7 +124,7 @@ struct QuerySpec {
 /// kSum/kProjectSum carry the sum in the summed column's carrier type
 /// (double columns sum to f64). `rowids` is filled when any kRowIds was
 /// requested (sorted ascending except on the one-predicate/one-result
-/// legacy path, which keeps the mode's native order).
+/// path, which keeps the mode's native order).
 struct QueryResult {
   std::vector<KeyScalar> values;
   PositionList rowids;

@@ -4,14 +4,15 @@
 /// A Session is how one client talks to the engine: it caches resolved
 /// ColumnHandles (names are hashed once per session, not once per query),
 /// carries a private RNG so stochastic pivots are deterministic per client,
-/// and offers an async Submit* path that executes queries on the database's
-/// client pool — which is what the harness and fig17 use to model many
-/// concurrent clients without spawning raw threads per run.
+/// and offers an async path (SubmitExecute, SubmitRaw) that runs work on
+/// the database's client pool — which is how the network server runs
+/// many concurrent clients' requests without a thread per client.
 ///
 /// Thread model: one session belongs to one client. The synchronous calls
-/// must not race each other; Submit* hands the query to a pool thread and
-/// uses thread-local pivot RNG there, so a client may overlap async queries
-/// with its own synchronous work.
+/// (Execute, InsertScalar, DeleteScalar) must not race each other;
+/// SubmitExecute hands the query to a pool thread and uses thread-local
+/// pivot RNG there, so a client may overlap async queries with its own
+/// synchronous work.
 
 #pragma once
 
@@ -24,7 +25,6 @@
 #include "engine/column_registry.h"
 #include "engine/engine_options.h"
 #include "engine/query_spec.h"
-#include "storage/position_list.h"
 #include "util/rng.h"
 
 namespace holix {
@@ -45,98 +45,24 @@ class Session {
   /// registry. Throws std::out_of_range when the attribute doesn't exist.
   ColumnHandle Handle(const std::string& table, const std::string& column);
 
-  // --- Declarative query API (query_spec.h) ------------------------------
+  // --- Query API (query_spec.h; see Database) ---------------------------
 
   /// Executes a QuerySpec with this session's RNG driving stochastic
   /// pivots. Handles inside the spec come from Handle()/Resolve.
   QueryResult Execute(const QuerySpec& spec);
 
-  // --- Synchronous query API (handle-based hot path) ---------------------
-
-  size_t CountRange(const ColumnHandle& column, int64_t low, int64_t high);
-  int64_t SumRange(const ColumnHandle& column, int64_t low, int64_t high);
-  PositionList SelectRowIds(const ColumnHandle& column, int64_t low,
-                            int64_t high);
-  int64_t ProjectSum(const ColumnHandle& where_column,
-                     const ColumnHandle& project_column, int64_t low,
-                     int64_t high);
-  RowId Insert(const ColumnHandle& column, int64_t value);
-  /// \return true when a matching row was found (see Database::Delete).
-  bool Delete(const ColumnHandle& column, int64_t value);
-
-  // --- Typed-scalar forms (what the network server drives) ---------------
-
-  size_t CountRangeScalar(const ColumnHandle& column, KeyScalar low,
-                          KeyScalar high);
-  /// Result carrier follows the column type (double columns sum to f64).
-  KeyScalar SumRangeScalar(const ColumnHandle& column, KeyScalar low,
-                           KeyScalar high);
-  PositionList SelectRowIdsScalar(const ColumnHandle& column, KeyScalar low,
-                                  KeyScalar high);
-  KeyScalar ProjectSumScalar(const ColumnHandle& where_column,
-                             const ColumnHandle& project_column,
-                             KeyScalar low, KeyScalar high);
+  /// Pending-queue updates through the session RNG (see Database).
   RowId InsertScalar(const ColumnHandle& column, KeyScalar value);
+  /// \return true when a matching row was found.
   bool DeleteScalar(const ColumnHandle& column, KeyScalar value);
-
-  // --- Double forms (F64-suffixed; see Database) -------------------------
-
-  size_t CountRangeF64(const ColumnHandle& column, double low, double high);
-  double SumRangeF64(const ColumnHandle& column, double low, double high);
-  PositionList SelectRowIdsF64(const ColumnHandle& column, double low,
-                               double high);
-  double ProjectSumF64(const ColumnHandle& where_column,
-                       const ColumnHandle& project_column, double low,
-                       double high);
-  RowId InsertF64(const ColumnHandle& column, double value);
-  bool DeleteF64(const ColumnHandle& column, double value);
-
-  // --- Name-based conveniences (resolve through the session cache) -------
-
-  size_t CountRange(const std::string& table, const std::string& column,
-                    int64_t low, int64_t high) {
-    return CountRange(Handle(table, column), low, high);
-  }
-  int64_t SumRange(const std::string& table, const std::string& column,
-                   int64_t low, int64_t high) {
-    return SumRange(Handle(table, column), low, high);
-  }
-  RowId Insert(const std::string& table, const std::string& column,
-               int64_t value) {
-    return Insert(Handle(table, column), value);
-  }
-  bool Delete(const std::string& table, const std::string& column,
-              int64_t value) {
-    return Delete(Handle(table, column), value);
-  }
-  size_t CountRangeF64(const std::string& table, const std::string& column,
-                       double low, double high) {
-    return CountRangeF64(Handle(table, column), low, high);
-  }
-  double SumRangeF64(const std::string& table, const std::string& column,
-                     double low, double high) {
-    return SumRangeF64(Handle(table, column), low, high);
-  }
-  RowId InsertF64(const std::string& table, const std::string& column,
-                  double value) {
-    return InsertF64(Handle(table, column), value);
-  }
-  bool DeleteF64(const std::string& table, const std::string& column,
-                 double value) {
-    return DeleteF64(Handle(table, column), value);
-  }
 
   // --- Asynchronous query API --------------------------------------------
 
-  /// Submits the query to the database's client pool and returns a future.
-  /// The session (and database) must outlive the future's completion.
-  std::future<size_t> SubmitCountRange(ColumnHandle column, int64_t low,
-                                       int64_t high);
-  /// Async QuerySpec execution (the spec is copied into the task; a pool
-  /// thread uses its thread-local pivot RNG, like every Submit*).
+  /// Submits \p spec to the database's client pool and returns a future
+  /// (the spec is copied into the task; the pool thread uses its
+  /// thread-local pivot RNG, since the session RNG is not shared across
+  /// threads). The database must outlive the future's completion.
   std::future<QueryResult> SubmitExecute(QuerySpec spec);
-  std::future<int64_t> SubmitSumRange(ColumnHandle column, int64_t low,
-                                      int64_t high);
 
   /// Completion-hook submission: hands \p work to the database's client
   /// pool as-is. This is how the network server attaches continuations

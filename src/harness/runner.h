@@ -36,13 +36,13 @@ struct RunResult {
 };
 
 /// Replays \p queries against \p db sequentially through one session with
-/// pre-resolved handles, timing each CountRange call.
+/// pre-resolved handles, timing each one-predicate count query.
 RunResult RunWorkload(Database& db, const std::string& table,
                       const std::vector<std::string>& columns,
                       const std::vector<RangeQuery>& queries);
 
-/// Replays \p queries through the double-bound facade (CountRangeF64):
-/// each integer predicate becomes [low + 0.5, high + 0.5) so the bounds
+/// Replays \p queries with double bounds (f64 KeyScalars): each integer
+/// predicate becomes [low + 0.5, high + 0.5) so the bounds
 /// are genuinely fractional, identically across modes — checksums stay
 /// comparable to a scan oracle run over the same data and workload.
 RunResult RunWorkloadF64(Database& db, const std::string& table,

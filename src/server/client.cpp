@@ -268,8 +268,8 @@ obs::MetricsSnapshot HolixClient::GetStats() {
       .snapshot;
 }
 
-ExecuteQueryResult HolixClient::ExecuteQuery(
-    uint64_t session_id, const std::string& table,
+ExecuteQueryReq HolixClient::BuildQuery(
+    const std::string& table,
     const std::vector<QueryPredicateWire>& predicates,
     const std::vector<QueryResultSpecWire>& results) {
   if (predicates.empty() || predicates.size() > kMaxQueryPredicates ||
@@ -281,84 +281,28 @@ ExecuteQueryResult HolixClient::ExecuteQuery(
   req.table = table;
   req.predicates = predicates;
   req.results = results;
-  return Transact<ExecuteQueryResult>(std::move(req), session_id,
-                                      /*idempotent=*/true);
+  return req;
+}
+
+ExecuteQueryResult HolixClient::ExecuteQuery(
+    uint64_t session_id, const std::string& table,
+    const std::vector<QueryPredicateWire>& predicates,
+    const std::vector<QueryResultSpecWire>& results) {
+  return Transact<ExecuteQueryResult>(BuildQuery(table, predicates, results),
+                                      session_id, /*idempotent=*/true);
 }
 
 uint64_t HolixClient::SendExecuteQuery(
     uint64_t session_id, const std::string& table,
     const std::vector<QueryPredicateWire>& predicates,
     const std::vector<QueryResultSpecWire>& results) {
-  if (predicates.empty() || predicates.size() > kMaxQueryPredicates ||
-      results.empty() || results.size() > kMaxQueryResults) {
-    throw std::invalid_argument(
-        "ExecuteQuery: predicate/result count out of protocol bounds");
-  }
-  ExecuteQueryReq req;
+  ExecuteQueryReq req = BuildQuery(table, predicates, results);
   req.session_id = ServerSession(session_id);
-  req.table = table;
-  req.predicates = predicates;
-  req.results = results;
   return SendMessage(req);
 }
 
 ExecuteQueryResult HolixClient::AwaitExecuteQuery(uint64_t request_id) {
   return Expect<ExecuteQueryResult>(AwaitFrame(request_id));
-}
-
-uint64_t HolixClient::CountRangeScalar(uint64_t session_id,
-                                       const std::string& table,
-                                       const std::string& column,
-                                       KeyScalar low, KeyScalar high) {
-  CountRangeReq req;
-  req.table = table;
-  req.column = column;
-  req.low = low;
-  req.high = high;
-  return Transact<CountResult>(std::move(req), session_id, /*idempotent=*/true)
-      .count;
-}
-
-KeyScalar HolixClient::SumRangeScalar(uint64_t session_id,
-                                      const std::string& table,
-                                      const std::string& column,
-                                      KeyScalar low, KeyScalar high) {
-  SumRangeReq req;
-  req.table = table;
-  req.column = column;
-  req.low = low;
-  req.high = high;
-  return Transact<SumResult>(std::move(req), session_id, /*idempotent=*/true)
-      .sum;
-}
-
-KeyScalar HolixClient::ProjectSumScalar(uint64_t session_id,
-                                        const std::string& table,
-                                        const std::string& where_column,
-                                        const std::string& project_column,
-                                        KeyScalar low, KeyScalar high) {
-  ProjectSumReq req;
-  req.table = table;
-  req.where_column = where_column;
-  req.project_column = project_column;
-  req.low = low;
-  req.high = high;
-  return Transact<ProjectSumResult>(std::move(req), session_id,
-                                    /*idempotent=*/true)
-      .sum;
-}
-
-std::vector<uint64_t> HolixClient::SelectRowIdsScalar(
-    uint64_t session_id, const std::string& table, const std::string& column,
-    KeyScalar low, KeyScalar high) {
-  SelectRowIdsReq req;
-  req.table = table;
-  req.column = column;
-  req.low = low;
-  req.high = high;
-  return Transact<RowIdsResult>(std::move(req), session_id,
-                                /*idempotent=*/true)
-      .rowids;
 }
 
 uint64_t HolixClient::InsertScalar(uint64_t session_id,
@@ -383,112 +327,6 @@ bool HolixClient::DeleteScalar(uint64_t session_id, const std::string& table,
   return Transact<DeleteResult>(std::move(req), session_id,
                                 /*idempotent=*/false)
       .found;
-}
-
-uint64_t HolixClient::CountRange(uint64_t session_id, const std::string& table,
-                                 const std::string& column, int64_t low,
-                                 int64_t high) {
-  return CountRangeScalar(session_id, table, column, KeyScalar::I64(low),
-                          KeyScalar::I64(high));
-}
-
-int64_t HolixClient::SumRange(uint64_t session_id, const std::string& table,
-                              const std::string& column, int64_t low,
-                              int64_t high) {
-  return SumRangeScalar(session_id, table, column, KeyScalar::I64(low),
-                        KeyScalar::I64(high))
-      .AsI64Saturating();
-}
-
-int64_t HolixClient::ProjectSum(uint64_t session_id, const std::string& table,
-                                const std::string& where_column,
-                                const std::string& project_column,
-                                int64_t low, int64_t high) {
-  return ProjectSumScalar(session_id, table, where_column, project_column,
-                          KeyScalar::I64(low), KeyScalar::I64(high))
-      .AsI64Saturating();
-}
-
-std::vector<uint64_t> HolixClient::SelectRowIds(uint64_t session_id,
-                                                const std::string& table,
-                                                const std::string& column,
-                                                int64_t low, int64_t high) {
-  return SelectRowIdsScalar(session_id, table, column, KeyScalar::I64(low),
-                            KeyScalar::I64(high));
-}
-
-uint64_t HolixClient::Insert(uint64_t session_id, const std::string& table,
-                             const std::string& column, int64_t value) {
-  return InsertScalar(session_id, table, column, KeyScalar::I64(value));
-}
-
-bool HolixClient::Delete(uint64_t session_id, const std::string& table,
-                         const std::string& column, int64_t value) {
-  return DeleteScalar(session_id, table, column, KeyScalar::I64(value));
-}
-
-uint64_t HolixClient::CountRangeF64(uint64_t session_id,
-                                    const std::string& table,
-                                    const std::string& column, double low,
-                                    double high) {
-  return CountRangeScalar(session_id, table, column, KeyScalar::F64(low),
-                          KeyScalar::F64(high));
-}
-
-double HolixClient::SumRangeF64(uint64_t session_id, const std::string& table,
-                                const std::string& column, double low,
-                                double high) {
-  return SumRangeScalar(session_id, table, column, KeyScalar::F64(low),
-                        KeyScalar::F64(high))
-      .AsF64();
-}
-
-uint64_t HolixClient::InsertF64(uint64_t session_id, const std::string& table,
-                                const std::string& column, double value) {
-  return InsertScalar(session_id, table, column, KeyScalar::F64(value));
-}
-
-bool HolixClient::DeleteF64(uint64_t session_id, const std::string& table,
-                            const std::string& column, double value) {
-  return DeleteScalar(session_id, table, column, KeyScalar::F64(value));
-}
-
-uint64_t HolixClient::SendCountRange(uint64_t session_id,
-                                     const std::string& table,
-                                     const std::string& column, KeyScalar low,
-                                     KeyScalar high) {
-  CountRangeReq req;
-  req.session_id = ServerSession(session_id);
-  req.table = table;
-  req.column = column;
-  req.low = low;
-  req.high = high;
-  return SendMessage(req);
-}
-
-uint64_t HolixClient::AwaitCount(uint64_t request_id) {
-  return Expect<CountResult>(AwaitFrame(request_id)).count;
-}
-
-uint64_t HolixClient::SendSumRange(uint64_t session_id,
-                                   const std::string& table,
-                                   const std::string& column, KeyScalar low,
-                                   KeyScalar high) {
-  SumRangeReq req;
-  req.session_id = ServerSession(session_id);
-  req.table = table;
-  req.column = column;
-  req.low = low;
-  req.high = high;
-  return SendMessage(req);
-}
-
-int64_t HolixClient::AwaitSum(uint64_t request_id) {
-  return AwaitSumScalar(request_id).AsI64Saturating();
-}
-
-KeyScalar HolixClient::AwaitSumScalar(uint64_t request_id) {
-  return Expect<SumResult>(AwaitFrame(request_id)).sum;
 }
 
 }  // namespace holix::net

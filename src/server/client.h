@@ -2,11 +2,16 @@
 /// \brief HolixClient: a small synchronous + pipelined client for the Holix
 /// wire protocol (the socket-mode counterpart of an in-process Session).
 ///
-/// Thread model mirrors Session: one client object belongs to one thread.
-/// The synchronous calls are send-then-await; the pipelined calls
-/// (Send* / Await*) let a client keep several requests on the wire —
-/// responses may complete out of order on the server and are matched back
-/// by request id, with unmatched frames stashed until their Await.
+/// The query surface mirrors Session: ExecuteQuery for every read (one
+/// wire frame carrying a QuerySpec's predicates and result requests),
+/// InsertScalar/DeleteScalar for updates, GetStats for telemetry.
+///
+/// Thread model mirrors Session too: one client object belongs to one
+/// thread. The synchronous calls are send-then-await; the pipelined pair
+/// (SendExecuteQuery / AwaitExecuteQuery) lets a client keep several
+/// requests on the wire — responses may complete out of order on the
+/// server and are matched back by request id, with unmatched frames
+/// stashed until their Await.
 
 #pragma once
 
@@ -34,11 +39,11 @@ class ConnectionLost : public std::runtime_error {
 /// Connection behavior of a HolixClient, set at Connect().
 struct ClientOptions {
   /// Re-dial the original host:port when the transport drops. Synchronous
-  /// *read* calls (counts, sums, rowids, ExecuteQuery, GetStats) are
-  /// retried after a successful reconnect — they are idempotent, so a
-  /// resend cannot double-apply. Insert/Delete are never resent once their
-  /// request bytes may have reached the server (the ack is ambiguous); a
-  /// drop mid-update surfaces as ConnectionLost for the caller to resolve.
+  /// *read* calls (ExecuteQuery, GetStats) are retried after a successful
+  /// reconnect — they are idempotent, so a resend cannot double-apply.
+  /// InsertScalar/DeleteScalar are never resent once their request bytes
+  /// may have reached the server (the ack is ambiguous); a drop mid-update
+  /// surfaces as ConnectionLost for the caller to resolve.
   /// Session ids handed out by OpenSession() stay valid across reconnects:
   /// they are client-side handles, re-bound to fresh server sessions on
   /// each re-dial.
@@ -83,97 +88,43 @@ class HolixClient {
   uint64_t OpenSession();
   void CloseSession(uint64_t session_id);
 
-  // --- Telemetry (protocol v4) --------------------------------------------
+  // --- Telemetry ---------------------------------------------------------
 
   /// Fetches the server's full metrics snapshot (every holix_* counter,
   /// gauge and histogram, plus the recent-query trace ring) in one round
   /// trip. Needs no session: the server answers inline on its event loop.
   obs::MetricsSnapshot GetStats();
 
-  // --- Declarative query API (protocol v3) --------------------------------
+  // --- Query API ---------------------------------------------------------
 
-  /// Executes a multi-predicate query in one round trip: a conjunction of
-  /// typed range predicates over \p table plus one or more result
-  /// requests (QueryResultSpecWire kinds: 0 count, 1 sum, 2 rowids,
-  /// 3 project-sum). The single-primitive calls below remain as
-  /// conveniences over the deprecated-but-served v2 frames.
+  /// Executes a query in one round trip: a conjunction of
+  /// 1..kMaxQueryPredicates typed range predicates over \p table plus
+  /// 1..kMaxQueryResults result requests (QueryResultSpecWire kinds:
+  /// 0 count, 1 sum, 2 rowids, 3 project-sum). Counts arrive as i64
+  /// scalars, sums in the summed column's carrier. Throws
+  /// std::invalid_argument, before anything is sent, when either list is
+  /// empty or over its cap.
   ExecuteQueryResult ExecuteQuery(
       uint64_t session_id, const std::string& table,
       const std::vector<QueryPredicateWire>& predicates,
       const std::vector<QueryResultSpecWire>& results);
 
-  // --- Synchronous query API --------------------------------------------
-
-  /// Typed-scalar core: bounds/values travel as tagged scalars, and sum
-  /// results come back in the carrier matching the column's type.
-  uint64_t CountRangeScalar(uint64_t session_id, const std::string& table,
-                            const std::string& column, KeyScalar low,
-                            KeyScalar high);
-  KeyScalar SumRangeScalar(uint64_t session_id, const std::string& table,
-                           const std::string& column, KeyScalar low,
-                           KeyScalar high);
-  KeyScalar ProjectSumScalar(uint64_t session_id, const std::string& table,
-                             const std::string& where_column,
-                             const std::string& project_column, KeyScalar low,
-                             KeyScalar high);
-  std::vector<uint64_t> SelectRowIdsScalar(uint64_t session_id,
-                                           const std::string& table,
-                                           const std::string& column,
-                                           KeyScalar low, KeyScalar high);
+  /// Pending-queue insert; returns the new row's id.
   uint64_t InsertScalar(uint64_t session_id, const std::string& table,
                         const std::string& column, KeyScalar value);
+  /// Pending-queue delete of one row holding \p value; true when found.
   bool DeleteScalar(uint64_t session_id, const std::string& table,
                     const std::string& column, KeyScalar value);
 
-  /// int64 conveniences (a double column's f64 sum is rounded+saturated —
-  /// use SumRangeF64/SumRangeScalar for the exact value).
-  uint64_t CountRange(uint64_t session_id, const std::string& table,
-                      const std::string& column, int64_t low, int64_t high);
-  int64_t SumRange(uint64_t session_id, const std::string& table,
-                   const std::string& column, int64_t low, int64_t high);
-  int64_t ProjectSum(uint64_t session_id, const std::string& table,
-                     const std::string& where_column,
-                     const std::string& project_column, int64_t low,
-                     int64_t high);
-  std::vector<uint64_t> SelectRowIds(uint64_t session_id,
-                                     const std::string& table,
-                                     const std::string& column, int64_t low,
-                                     int64_t high);
-  uint64_t Insert(uint64_t session_id, const std::string& table,
-                  const std::string& column, int64_t value);
-  bool Delete(uint64_t session_id, const std::string& table,
-              const std::string& column, int64_t value);
-
-  /// Double conveniences (F64-suffixed, mirroring the in-process Session).
-  uint64_t CountRangeF64(uint64_t session_id, const std::string& table,
-                         const std::string& column, double low, double high);
-  double SumRangeF64(uint64_t session_id, const std::string& table,
-                     const std::string& column, double low, double high);
-  uint64_t InsertF64(uint64_t session_id, const std::string& table,
-                     const std::string& column, double value);
-  bool DeleteF64(uint64_t session_id, const std::string& table,
-                 const std::string& column, double value);
-
   // --- Pipelined query API ----------------------------------------------
   //
-  // Send* writes the request and returns immediately with its request id;
-  // Await* blocks until that id's response arrives (stashing any other
-  // responses read along the way). Keeping a window of requests in flight
-  // amortizes the per-message network latency — but stay below the
-  // server's max_in_flight_per_connection or its backpressure will park
-  // the stream anyway.
-
-  uint64_t SendCountRange(uint64_t session_id, const std::string& table,
-                          const std::string& column, KeyScalar low,
-                          KeyScalar high);
-  uint64_t AwaitCount(uint64_t request_id);
-
-  uint64_t SendSumRange(uint64_t session_id, const std::string& table,
-                        const std::string& column, KeyScalar low,
-                        KeyScalar high);
-  int64_t AwaitSum(uint64_t request_id);
-  /// The typed form of AwaitSum (f64 carrier for double columns).
-  KeyScalar AwaitSumScalar(uint64_t request_id);
+  // SendExecuteQuery writes the request and returns immediately with its
+  // request id; AwaitExecuteQuery blocks until that id's response arrives
+  // (stashing any other responses read along the way). Keeping a window of
+  // requests in flight amortizes the per-message network latency — but
+  // stay below the server's max_in_flight_per_connection or its
+  // backpressure will park the stream anyway. Pipelined calls never
+  // reconnect.
 
   uint64_t SendExecuteQuery(
       uint64_t session_id, const std::string& table,
@@ -193,6 +144,12 @@ class HolixClient {
     SendBytes(EncodeMessage(id, m));
     return id;
   }
+  /// Validates the predicate/result counts against the protocol caps and
+  /// builds the ExecuteQuery request (session_id left for the caller).
+  static ExecuteQueryReq BuildQuery(
+      const std::string& table,
+      const std::vector<QueryPredicateWire>& predicates,
+      const std::vector<QueryResultSpecWire>& results);
   /// Reads frames until \p request_id's response shows up; other frames
   /// are stashed for their own Await.
   Frame AwaitFrame(uint64_t request_id);

@@ -759,67 +759,6 @@ bool HolixServer::HandleFrame(IoLoop& loop,
       EnqueueLoop(loop, conn, EncodeMessage(f.request_id, CloseSessionAck{}));
       return true;
     }
-    case MsgType::kCountRange:
-      return DispatchQuery<CountRangeReq>(
-          loop, conn, f,
-          [db](Session& s, const CountRangeReq& r, uint64_t id) {
-            ColumnHandle h = s.Handle(r.table, r.column);
-            const KeyScalar low = r.low, high = r.high;
-            return [db, id, h, low, high] {
-              CountResult res;
-              res.count = db->CountRangeScalar(h, low, high, QueryContext{});
-              return EncodeMessage(id, res);
-            };
-          });
-    case MsgType::kSumRange:
-      return DispatchQuery<SumRangeReq>(
-          loop, conn, f, [db](Session& s, const SumRangeReq& r, uint64_t id) {
-            ColumnHandle h = s.Handle(r.table, r.column);
-            const KeyScalar low = r.low, high = r.high;
-            return [db, id, h, low, high] {
-              SumResult res;
-              // The carrier follows the column type: a double column's sum
-              // leaves the server as a genuine f64 scalar.
-              res.sum = db->SumRangeScalar(h, low, high, QueryContext{});
-              return EncodeMessage(id, res);
-            };
-          });
-    case MsgType::kSelectRowIds:
-      return DispatchQuery<SelectRowIdsReq>(
-          loop, conn, f,
-          [db](Session& s, const SelectRowIdsReq& r, uint64_t id) {
-            ColumnHandle h = s.Handle(r.table, r.column);
-            const KeyScalar low = r.low, high = r.high;
-            return [db, id, h, low, high]() -> std::vector<uint8_t> {
-              const PositionList rows =
-                  db->SelectRowIdsScalar(h, low, high, QueryContext{});
-              RowIdsResult res;
-              res.rowids.reserve(rows.size());
-              for (RowId rid : rows) res.rowids.push_back(rid);
-              // A result too big for one frame is a server-side error
-              // frame, never a silently truncated result.
-              if (res.rowids.size() * sizeof(uint64_t) + 16 >
-                  kMaxPayloadBytes) {
-                return EncodeError(id, ErrorCode::kQueryFailed,
-                                   "result exceeds frame cap: " +
-                                       std::to_string(res.rowids.size()) +
-                                       " rowids");
-              }
-              return EncodeMessage(id, res);
-            };
-          });
-    case MsgType::kProjectSum:
-      return DispatchQuery<ProjectSumReq>(
-          loop, conn, f, [db](Session& s, const ProjectSumReq& r, uint64_t id) {
-            ColumnHandle hw = s.Handle(r.table, r.where_column);
-            ColumnHandle hp = s.Handle(r.table, r.project_column);
-            const KeyScalar low = r.low, high = r.high;
-            return [db, id, hw, hp, low, high] {
-              ProjectSumResult res;
-              res.sum = db->ProjectSumScalar(hw, hp, low, high, QueryContext{});
-              return EncodeMessage(id, res);
-            };
-          });
     case MsgType::kExecuteQuery:
       return DispatchQuery<ExecuteQueryReq>(
           loop, conn, f,

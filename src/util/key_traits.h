@@ -31,7 +31,7 @@ namespace holix {
 ///    !IsHighest(v)); SelectRange's closed-bound forms are built on it;
 ///  * Canonical collapses distinct representations that compare equal
 ///    (identity for integers);
-///  * Sum is the accumulator type of SumRange over this key type.
+///  * Sum is the accumulator type of a range sum over this key type.
 ///
 /// For `double` the total order is IEEE `<` extended with two decisions the
 /// engine pins down (and tests pin): `-0.0` and `+0.0` are the SAME key

@@ -23,7 +23,10 @@
 namespace holix {
 namespace {
 
+using test::CountOf;
 using test::NaiveCount;
+using test::RowIdsOf;
+using test::SumOf;
 
 constexpr int64_t kDomain = 1 << 20;
 
@@ -63,22 +66,22 @@ TEST(EngineApi, Int32ColumnThroughFacade) {
   Database db(opts);
   const auto data = UniformTyped<int32_t>(50000, kDomain, 31);
   db.LoadColumn("r", "a", data);
+  const ColumnHandle h = db.Resolve("r", "a");
 
   Rng rng(32);
   for (int i = 0; i < 30; ++i) {
     const int64_t lo = static_cast<int64_t>(rng.Below(kDomain));
     const int64_t width = 1 + static_cast<int64_t>(rng.Below(kDomain / 4));
-    ASSERT_EQ(db.CountRange("r", "a", lo, lo + width),
+    ASSERT_EQ(CountOf(db, h, lo, lo + width),
               NaiveCountTyped(data, lo, lo + width))
         << "int32 query " << i;
   }
-  EXPECT_EQ(db.SumRange("r", "a", 1000, 500000),
-            NaiveSumTyped(data, 1000, 500000));
+  EXPECT_EQ(SumOf(db, h, 1000, 500000).i, NaiveSumTyped(data, 1000, 500000));
   EXPECT_GT(db.TotalIndexPieces(), 1u);  // the int32 attribute cracked
   EXPECT_EQ(db.NumAdaptiveIndices(), 1u);
 
   // Bounds wider than the int32 domain clamp instead of overflowing.
-  EXPECT_EQ(db.CountRange("r", "a", -(int64_t{1} << 40), int64_t{1} << 40),
+  EXPECT_EQ(CountOf(db, h, -(int64_t{1} << 40), int64_t{1} << 40),
             data.size());
 }
 
@@ -100,8 +103,14 @@ TEST(EngineApi, Int32MixedWithInt64InOneTable) {
     if (a32[i] >= 100 && a32[i] < 90000) naive_ab += b64[i];
     if (b64[i] >= 100 && b64[i] < 90000) naive_ba += a32[i];
   }
-  EXPECT_EQ(db.ProjectSum(ha, hb, 100, 90000), naive_ab);
-  EXPECT_EQ(db.ProjectSum(hb, ha, 100, 90000), naive_ba);
+  EXPECT_EQ(db.Execute(QuerySpec().Where(ha, 100, 90000).ProjectSum(hb))
+                .values[0]
+                .i,
+            naive_ab);
+  EXPECT_EQ(db.Execute(QuerySpec().Where(hb, 100, 90000).ProjectSum(ha))
+                .values[0]
+                .i,
+            naive_ba);
 }
 
 TEST(EngineApi, Int32RetiresToOptimalThroughFacade) {
@@ -116,25 +125,25 @@ TEST(EngineApi, Int32RetiresToOptimalThroughFacade) {
   Database db(opts);
   const auto data = UniformTyped<int32_t>(50000, kDomain, 35);
   db.LoadColumn("r", "a", data);
+  const ColumnHandle h = db.Resolve("r", "a");
 
   Rng rng(36);
   bool optimal = false;
   for (int i = 0; i < 200 && !optimal; ++i) {
     const int64_t lo = static_cast<int64_t>(rng.Below(kDomain));
     const int64_t width = 1 + static_cast<int64_t>(rng.Below(kDomain / 8));
-    ASSERT_EQ(db.CountRange("r", "a", lo, lo + width),
+    ASSERT_EQ(CountOf(db, h, lo, lo + width),
               NaiveCountTyped(data, lo, lo + width));
     optimal = db.holistic()->store().Count(ConfigKind::kOptimal) == 1;
   }
   EXPECT_TRUE(optimal) << "int32 index never retired to C_optimal";
   EXPECT_EQ(db.holistic()->store().KindOf("r.a"), ConfigKind::kOptimal);
   // Retired indices still answer correctly.
-  EXPECT_EQ(db.CountRange("r", "a", 5000, 90000),
-            NaiveCountTyped(data, 5000, 90000));
+  EXPECT_EQ(CountOf(db, h, 5000, 90000), NaiveCountTyped(data, 5000, 90000));
   OverrideL1DataCacheBytes(0);
 }
 
-TEST(EngineApi, HandleQueriesMatchNameQueries) {
+TEST(EngineApi, ResolvedHandleAnswersEveryShape) {
   DatabaseOptions opts;
   opts.mode = ExecMode::kAdaptive;
   Database db(opts);
@@ -144,11 +153,15 @@ TEST(EngineApi, HandleQueriesMatchNameQueries) {
   ASSERT_TRUE(h.valid());
   EXPECT_EQ(h.key(), "r.a");
   EXPECT_EQ(h.type(), ValueType::kInt64);
-  EXPECT_EQ(db.CountRange(h, 100, 90000), NaiveCount(data, 100, 90000));
-  EXPECT_EQ(db.CountRange(h, 100, 90000), db.CountRange("r", "a", 100, 90000));
-  EXPECT_EQ(db.SumRange(h, 100, 90000), db.SumRange("r", "a", 100, 90000));
-  EXPECT_EQ(db.SelectRowIds(h, 100, 90000).size(),
-            NaiveCount(data, 100, 90000));
+  EXPECT_EQ(CountOf(db, h, 100, 90000), NaiveCount(data, 100, 90000));
+  EXPECT_EQ(SumOf(db, h, 100, 90000).i, NaiveSumTyped(data, 100, 90000));
+  PositionList rows = RowIdsOf(db, h, 100, 90000);
+  std::sort(rows.begin(), rows.end());
+  PositionList expect;
+  for (size_t i = 0; i < data.size(); ++i) {
+    if (data[i] >= 100 && data[i] < 90000) expect.push_back(i);
+  }
+  EXPECT_EQ(rows, expect);
 }
 
 TEST(EngineApi, HandleInvalidationAfterDropTable) {
@@ -158,11 +171,11 @@ TEST(EngineApi, HandleInvalidationAfterDropTable) {
   db.LoadColumn("r", "a", test::MakeUniform(10000, kDomain, 38));
   ColumnHandle h = db.Resolve("r", "a");
   ASSERT_TRUE(h.valid());
-  ASSERT_GT(db.CountRange(h, 0, kDomain), 0u);
+  ASSERT_GT(CountOf(db, h, 0, kDomain), 0u);
 
   db.DropTable("r");
   EXPECT_FALSE(h.valid());
-  EXPECT_THROW(db.CountRange(h, 0, kDomain), std::logic_error);
+  EXPECT_THROW(CountOf(db, h, 0, kDomain), std::logic_error);
   EXPECT_THROW(db.Resolve("r", "a"), std::out_of_range);
   EXPECT_EQ(db.NumAdaptiveIndices(), 0u);
 
@@ -171,7 +184,7 @@ TEST(EngineApi, HandleInvalidationAfterDropTable) {
   const auto fresh = test::MakeUniform(5000, kDomain, 39);
   db.LoadColumn("r", "a", fresh);
   EXPECT_FALSE(h.valid());
-  EXPECT_EQ(db.CountRange("r", "a", 100, 90000),
+  EXPECT_EQ(CountOf(db, db.Resolve("r", "a"), 100, 90000),
             NaiveCount(fresh, 100, 90000));
 }
 
@@ -183,7 +196,7 @@ TEST(EngineApi, DropTableRemovesFromHolisticStore) {
   opts.holistic.monitor_interval_seconds = 0.001;
   Database db(opts);
   db.LoadColumn("r", "a", test::MakeUniform(20000, kDomain, 40));
-  db.CountRange("r", "a", 100, 200);  // registers r.a in the store
+  CountOf(db, db.Resolve("r", "a"), 100, 200);  // registers r.a
   ASSERT_TRUE(db.holistic()->store().Contains("r.a"));
   db.DropTable("r");
   EXPECT_FALSE(db.holistic()->store().Contains("r.a"));
@@ -204,7 +217,7 @@ TEST(EngineApi, SessionCachesHandlesAndAnswersQueries) {
   for (int i = 0; i < 20; ++i) {
     const int64_t lo = static_cast<int64_t>(rng.Below(kDomain));
     const int64_t width = 1 + static_cast<int64_t>(rng.Below(kDomain / 4));
-    ASSERT_EQ(s.CountRange(h1, lo, lo + width),
+    ASSERT_EQ(CountOf(s, h1, lo, lo + width),
               NaiveCount(data, lo, lo + width));
   }
 }
@@ -231,11 +244,11 @@ TEST(EngineApi, ConcurrentSessionsMixedReadsAndInserts) {
       const ColumnHandle h = session.Handle("r", "a");
       Rng rng(500 + c);
       for (int i = 0; i < kInsertsPerClient; ++i) {
-        session.Insert(h, kBandBase + c * 1000 + i);
+        session.InsertScalar(h, kBandBase + c * 1000 + i);
         const int64_t lo = static_cast<int64_t>(rng.Below(kDomain));
         const int64_t width =
             1 + static_cast<int64_t>(rng.Below(kDomain / 8));
-        if (session.CountRange(h, lo, lo + width) !=
+        if (CountOf(session, h, lo, lo + width) !=
             NaiveCount(data, lo, lo + width)) {
           read_failures.fetch_add(1);
         }
@@ -248,8 +261,8 @@ TEST(EngineApi, ConcurrentSessionsMixedReadsAndInserts) {
   Session verify = db.OpenSession();
   const ColumnHandle h = verify.Handle("r", "a");
   for (int c = 0; c < kClients; ++c) {
-    EXPECT_EQ(verify.CountRange(h, kBandBase + c * 1000,
-                                kBandBase + c * 1000 + kInsertsPerClient),
+    EXPECT_EQ(CountOf(verify, h, kBandBase + c * 1000,
+                      kBandBase + c * 1000 + kInsertsPerClient),
               static_cast<size_t>(kInsertsPerClient))
         << "client " << c;
   }
@@ -264,17 +277,19 @@ TEST(EngineApi, AsyncSubmitThroughClientPool) {
   db.LoadColumn("r", "a", data);
   Session s = db.OpenSession();
   const ColumnHandle h = s.Handle("r", "a");
-  std::vector<std::future<size_t>> counts;
+  std::vector<std::future<QueryResult>> counts;
   std::vector<std::pair<int64_t, int64_t>> ranges;
   Rng rng(45);
   for (int i = 0; i < 16; ++i) {
     const int64_t lo = static_cast<int64_t>(rng.Below(kDomain));
     const int64_t hi = lo + 1 + static_cast<int64_t>(rng.Below(kDomain / 4));
     ranges.emplace_back(lo, hi);
-    counts.push_back(s.SubmitCountRange(h, lo, hi));
+    QuerySpec spec;
+    spec.Where(h, lo, hi).Count();
+    counts.push_back(s.SubmitExecute(std::move(spec)));
   }
   for (size_t i = 0; i < counts.size(); ++i) {
-    EXPECT_EQ(counts[i].get(),
+    EXPECT_EQ(static_cast<size_t>(counts[i].get().values[0].i),
               NaiveCount(data, ranges[i].first, ranges[i].second))
         << "async query " << i;
   }
@@ -335,20 +350,22 @@ TEST(EngineApi, DoubleColumnQueryableInEveryMode) {
     for (int i = 0; i < 25; ++i) {
       const double lo = static_cast<double>(rng.Below(kDomain)) * 0.875;
       const double hi = lo + 1.0 + static_cast<double>(rng.Below(kDomain / 4));
-      ASSERT_EQ(db.CountRangeF64(h, lo, hi), NaiveCountF64(data, lo, hi))
+      ASSERT_EQ(CountOf(db, h, lo, hi), NaiveCountF64(data, lo, hi))
           << name << " query " << i;
       // Double sums are order-dependent in the last ulps; compare with a
       // relative tolerance.
       const double naive = NaiveSumF64(data, lo, hi);
-      EXPECT_NEAR(db.SumRangeF64(h, lo, hi), naive,
+      EXPECT_NEAR(SumOf(db, h, lo, hi).AsF64(), naive,
                   1e-9 * std::max(1.0, std::abs(naive)))
           << name << " query " << i;
     }
     // Whole-domain: the closed upgrade at hi == the NaN key covers +inf
     // and NaN rows too (none here, so it equals the row count).
-    EXPECT_EQ(db.CountRangeF64(h, -kInf, kNaN), data.size()) << name;
+    EXPECT_EQ(CountOf(db, h, KeyScalar::F64(-kInf), KeyScalar::F64(kNaN)),
+              data.size())
+        << name;
     // int64 bounds clamp exactly onto the double domain.
-    EXPECT_EQ(db.CountRange(h, 100, 90000),
+    EXPECT_EQ(CountOf(db, h, 100, 90000),
               NaiveCountF64(data, 100.0, 90000.0))
         << name;
   }
@@ -372,13 +389,13 @@ TEST(EngineApi, DoubleRetiresToOptimalThroughFacade) {
   for (int i = 0; i < 300 && !optimal; ++i) {
     const double lo = static_cast<double>(rng.Below(kDomain));
     const double hi = lo + 1.0 + static_cast<double>(rng.Below(kDomain / 8));
-    ASSERT_EQ(db.CountRangeF64("r", "price", lo, hi),
+    ASSERT_EQ(CountOf(db, db.Resolve("r", "price"), lo, hi),
               NaiveCountF64(data, lo, hi));
     optimal = db.holistic()->store().Count(ConfigKind::kOptimal) == 1;
   }
   EXPECT_TRUE(optimal) << "double index never retired to C_optimal";
   EXPECT_EQ(db.holistic()->store().KindOf("r.price"), ConfigKind::kOptimal);
-  EXPECT_EQ(db.CountRangeF64("r", "price", 5000.0, 90000.0),
+  EXPECT_EQ(CountOf(db, db.Resolve("r", "price"), 5000.0, 90000.0),
             NaiveCountF64(data, 5000.0, 90000.0));
   OverrideL1DataCacheBytes(0);
 }
@@ -393,30 +410,31 @@ TEST(EngineApi, DoubleSpecialKeysInsertThenSelect) {
   db.LoadColumn<double>("r", "price", UniformDoubles(5000, 1000, 56));
   const ColumnHandle h = db.Resolve("r", "price");
 
-  db.InsertF64(h, kNaN);
-  db.InsertF64(h, -0.0);
-  db.InsertF64(h, kInf);
+  db.InsertScalar(h, KeyScalar::F64(kNaN));
+  db.InsertScalar(h, -0.0);
+  db.InsertScalar(h, KeyScalar::F64(kInf));
 
   // The NaN row: countable only through the closed upgrade, absent from
   // every half-open range below the order's top.
-  EXPECT_EQ(db.CountRangeF64(h, kNaN, kNaN), 1u);
+  EXPECT_EQ(CountOf(db, h, KeyScalar::F64(kNaN), KeyScalar::F64(kNaN)), 1u);
   // Half-open below the top excludes both +inf and NaN, includes -0.0.
-  EXPECT_EQ(db.CountRangeF64(h, 0.0, kInf), 5001u);
-  EXPECT_EQ(db.CountRangeF64(h, kInf, kNaN), 2u);  // +inf row and NaN row
+  EXPECT_EQ(CountOf(db, h, 0.0, KeyScalar::F64(kInf)), 5001u);
+  // The +inf row and the NaN row.
+  EXPECT_EQ(CountOf(db, h, KeyScalar::F64(kInf), KeyScalar::F64(kNaN)), 2u);
   // -0.0 == +0.0: the inserted -0.0 is counted by [0.0, 1.0).
-  EXPECT_EQ(db.CountRangeF64(h, 0.0, 1.0),
+  EXPECT_EQ(CountOf(db, h, 0.0, 1.0),
             NaiveCountF64(UniformDoubles(5000, 1000, 56), 0.0, 1.0) + 1);
   // Whole order: base rows + the three specials.
-  EXPECT_EQ(db.CountRangeF64(h, -kInf, kNaN), 5003u);
+  EXPECT_EQ(CountOf(db, h, KeyScalar::F64(-kInf), KeyScalar::F64(kNaN)), 5003u);
 
   // Delete them again — the closed unit select reaches every key,
   // including the order's top; deleting +0.0 removes the -0.0 row (same
   // key).
-  EXPECT_TRUE(db.DeleteF64(h, kNaN));
-  EXPECT_FALSE(db.DeleteF64(h, kNaN));  // only one NaN row existed
-  EXPECT_TRUE(db.DeleteF64(h, kInf));
-  EXPECT_TRUE(db.DeleteF64(h, 0.0));
-  EXPECT_EQ(db.CountRangeF64(h, -kInf, kNaN), 5000u);
+  EXPECT_TRUE(db.DeleteScalar(h, KeyScalar::F64(kNaN)));
+  EXPECT_FALSE(db.DeleteScalar(h, KeyScalar::F64(kNaN)));  // only one NaN
+  EXPECT_TRUE(db.DeleteScalar(h, KeyScalar::F64(kInf)));
+  EXPECT_TRUE(db.DeleteScalar(h, 0.0));
+  EXPECT_EQ(CountOf(db, h, KeyScalar::F64(-kInf), KeyScalar::F64(kNaN)), 5000u);
 }
 
 TEST(EngineApi, DoubleMaxPendingMergeThroughClosedTail) {
@@ -429,17 +447,17 @@ TEST(EngineApi, DoubleMaxPendingMergeThroughClosedTail) {
   Database db(opts);
   db.LoadColumn<double>("r", "price", UniformDoubles(5000, 1000, 57));
   const ColumnHandle h = db.Resolve("r", "price");
-  db.CountRangeF64(h, 100.0, 200.0);  // build + crack the index
-  db.InsertF64(h, kMax);
-  db.InsertF64(h, kMax);
-  db.InsertF64(h, kNaN);
+  CountOf(db, h, 100.0, 200.0);  // build + crack the index
+  db.InsertScalar(h, KeyScalar::F64(kMax));
+  db.InsertScalar(h, KeyScalar::F64(kMax));
+  db.InsertScalar(h, KeyScalar::F64(kNaN));
   // The closed tail [kMax, NaN] merges and counts all three pending rows.
-  EXPECT_EQ(db.CountRangeF64(h, kMax, kNaN), 3u);
+  EXPECT_EQ(CountOf(db, h, KeyScalar::F64(kMax), KeyScalar::F64(kNaN)), 3u);
   // The unit range at max(double) is expressible half-open as [max, +inf)
   // — every double key has a total-order successor.
-  EXPECT_EQ(db.CountRangeF64(h, kMax, kInf), 2u);
-  EXPECT_TRUE(db.DeleteF64(h, kMax));
-  EXPECT_EQ(db.CountRangeF64(h, kMax, kNaN), 2u);
+  EXPECT_EQ(CountOf(db, h, KeyScalar::F64(kMax), KeyScalar::F64(kInf)), 2u);
+  EXPECT_TRUE(db.DeleteScalar(h, KeyScalar::F64(kMax)));
+  EXPECT_EQ(CountOf(db, h, KeyScalar::F64(kMax), KeyScalar::F64(kNaN)), 2u);
 }
 
 TEST(EngineApi, DoubleConcurrentSessionsMixedReadsAndInserts) {
@@ -464,11 +482,11 @@ TEST(EngineApi, DoubleConcurrentSessionsMixedReadsAndInserts) {
       const ColumnHandle h = session.Handle("r", "price");
       Rng rng(600 + c);
       for (int i = 0; i < kInsertsPerClient; ++i) {
-        session.InsertF64(h, kBandBase + c * 1000.0 + i + 0.5);
+        session.InsertScalar(h, kBandBase + c * 1000.0 + i + 0.5);
         const double lo = static_cast<double>(rng.Below(kDomain));
         const double hi =
             lo + 1.0 + static_cast<double>(rng.Below(kDomain / 8));
-        if (session.CountRangeF64(h, lo, hi) != NaiveCountF64(data, lo, hi)) {
+        if (CountOf(session, h, lo, hi) != NaiveCountF64(data, lo, hi)) {
           read_failures.fetch_add(1);
         }
       }
@@ -479,8 +497,8 @@ TEST(EngineApi, DoubleConcurrentSessionsMixedReadsAndInserts) {
   Session verify = db.OpenSession();
   const ColumnHandle h = verify.Handle("r", "price");
   for (int c = 0; c < kClients; ++c) {
-    EXPECT_EQ(verify.CountRangeF64(h, kBandBase + c * 1000.0,
-                                   kBandBase + c * 1000.0 + kInsertsPerClient),
+    EXPECT_EQ(CountOf(verify, h, kBandBase + c * 1000.0,
+                      kBandBase + c * 1000.0 + kInsertsPerClient),
               static_cast<size_t>(kInsertsPerClient))
         << "client " << c;
   }
@@ -497,17 +515,19 @@ TEST(EngineApi, DoubleBoundsOnIntegerColumns) {
   const auto data = test::MakeUniform(30000, kDomain, 61);
   db.LoadColumn("r", "a", data);
   const ColumnHandle h = db.Resolve("r", "a");
-  EXPECT_EQ(db.CountRangeF64(h, 100.5, 200.5), NaiveCount(data, 101, 201));
-  EXPECT_EQ(db.CountRangeF64(h, 100.0, 200.0), NaiveCount(data, 100, 200));
-  EXPECT_EQ(db.CountRangeF64(h, 0.0, kInf), data.size());
-  EXPECT_EQ(db.CountRangeF64(h, -kInf, kNaN), data.size());
-  EXPECT_EQ(db.CountRangeF64(h, kNaN, kNaN), 0u);  // NaN lo: above all ints
+  EXPECT_EQ(CountOf(db, h, 100.5, 200.5), NaiveCount(data, 101, 201));
+  EXPECT_EQ(CountOf(db, h, 100.0, 200.0), NaiveCount(data, 100, 200));
+  EXPECT_EQ(CountOf(db, h, 0.0, KeyScalar::F64(kInf)), data.size());
+  EXPECT_EQ(CountOf(db, h, KeyScalar::F64(-kInf), KeyScalar::F64(kNaN)),
+            data.size());
+  // NaN lo: above all ints.
+  EXPECT_EQ(CountOf(db, h, KeyScalar::F64(kNaN), KeyScalar::F64(kNaN)), 0u);
   // Updates: integral doubles convert, fractional ones are rejected.
-  EXPECT_THROW(db.InsertF64(h, 2.5), std::out_of_range);
-  db.InsertF64(h, static_cast<double>(kDomain) + 3.0);
-  EXPECT_EQ(db.CountRange(h, kDomain, kDomain + 10), 1u);
-  EXPECT_FALSE(db.DeleteF64(h, static_cast<double>(kDomain) + 3.5));
-  EXPECT_TRUE(db.DeleteF64(h, static_cast<double>(kDomain) + 3.0));
+  EXPECT_THROW(db.InsertScalar(h, 2.5), std::out_of_range);
+  db.InsertScalar(h, static_cast<double>(kDomain) + 3.0);
+  EXPECT_EQ(CountOf(db, h, kDomain, kDomain + 10), 1u);
+  EXPECT_FALSE(db.DeleteScalar(h, static_cast<double>(kDomain) + 3.5));
+  EXPECT_TRUE(db.DeleteScalar(h, static_cast<double>(kDomain) + 3.0));
 }
 
 TEST(EngineApi, DoubleProjectSumAcrossTypes) {
@@ -527,10 +547,15 @@ TEST(EngineApi, DoubleProjectSumAcrossTypes) {
     if (prices[i] >= 100.0 && prices[i] < 90000.0) naive_pk += keys[i];
   }
   // Select on the int64 attribute, project the double one: f64 result.
-  const double kp = db.ProjectSumF64(hk, hp, 100.0, 90000.0);
-  EXPECT_NEAR(kp, naive_kp, 1e-9 * std::max(1.0, std::abs(naive_kp)));
+  const KeyScalar kp =
+      db.Execute(QuerySpec().Where(hk, 100.0, 90000.0).ProjectSum(hp))
+          .values[0];
+  ASSERT_TRUE(kp.is_f64());
+  EXPECT_NEAR(kp.d, naive_kp, 1e-9 * std::max(1.0, std::abs(naive_kp)));
   // Select on the double attribute, project the int64 one: exact i64.
-  EXPECT_EQ(db.ProjectSum(hp, hk, 100, 90000), naive_pk);
+  EXPECT_EQ(
+      db.Execute(QuerySpec().Where(hp, 100, 90000).ProjectSum(hk)).values[0].i,
+      naive_pk);
 }
 
 // The closed-bound select primitive: rows holding exactly INT32_MAX are
@@ -553,22 +578,19 @@ TEST(EngineApi, Int32MaxSelectableThroughInt64Facade) {
     constexpr size_t kMaxRows = 7;
     for (size_t i = 0; i < kMaxRows; ++i) data[i * 100] = kMax;
     db.LoadColumn("r", "a", data);
+    const ColumnHandle h = db.Resolve("r", "a");
     const char* name = ExecModeName(mode);
     // Unit range [kMax, kMax + 1) — expressible only via the closed bound.
-    EXPECT_EQ(db.CountRange("r", "a", kMax, int64_t{kMax} + 1), kMaxRows)
-        << name;
+    EXPECT_EQ(CountOf(db, h, kMax, int64_t{kMax} + 1), kMaxRows) << name;
     // A whole-domain query covers the boundary rows too.
-    EXPECT_EQ(db.CountRange("r", "a", 0, int64_t{1} << 40), data.size())
+    EXPECT_EQ(CountOf(db, h, 0, int64_t{1} << 40), data.size()) << name;
+    EXPECT_EQ(RowIdsOf(db, h, kMax, int64_t{kMax} + 1).size(), kMaxRows)
         << name;
-    EXPECT_EQ(db.SelectRowIds(db.Resolve("r", "a"), kMax, int64_t{kMax} + 1)
-                  .size(),
-              kMaxRows)
-        << name;
-    EXPECT_EQ(db.SumRange("r", "a", kMax, int64_t{kMax} + 1),
+    EXPECT_EQ(SumOf(db, h, kMax, int64_t{kMax} + 1).i,
               static_cast<int64_t>(kMaxRows) * kMax)
         << name;
     // Exercise the closed path again after cracking/sorting refined state.
-    EXPECT_EQ(db.CountRange("r", "a", kMax - 10, int64_t{1} << 40),
+    EXPECT_EQ(CountOf(db, h, kMax - 10, int64_t{1} << 40),
               NaiveCountTyped(data, kMax - 10, int64_t{1} << 40))
         << name;
   }
@@ -583,12 +605,13 @@ TEST(EngineApi, Int32MaxInsertAndDelete) {
   Database db(opts);
   constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
   db.LoadColumn("r", "a", UniformTyped<int32_t>(5000, 1000, 51));
-  EXPECT_EQ(db.CountRange("r", "a", kMax, int64_t{kMax} + 1), 0u);
-  db.Insert("r", "a", kMax);
-  EXPECT_EQ(db.CountRange("r", "a", kMax, int64_t{kMax} + 1), 1u);
-  EXPECT_TRUE(db.Delete("r", "a", kMax));
-  EXPECT_EQ(db.CountRange("r", "a", kMax, int64_t{kMax} + 1), 0u);
-  EXPECT_FALSE(db.Delete("r", "a", kMax));  // nothing left to delete
+  const ColumnHandle h = db.Resolve("r", "a");
+  EXPECT_EQ(CountOf(db, h, kMax, int64_t{kMax} + 1), 0u);
+  db.InsertScalar(h, kMax);
+  EXPECT_EQ(CountOf(db, h, kMax, int64_t{kMax} + 1), 1u);
+  EXPECT_TRUE(db.DeleteScalar(h, kMax));
+  EXPECT_EQ(CountOf(db, h, kMax, int64_t{kMax} + 1), 0u);
+  EXPECT_FALSE(db.DeleteScalar(h, kMax));  // nothing left to delete
 }
 
 TEST(EngineApi, Int32InsertOutOfDomainThrows) {
@@ -596,18 +619,17 @@ TEST(EngineApi, Int32InsertOutOfDomainThrows) {
   opts.mode = ExecMode::kAdaptive;
   Database db(opts);
   db.LoadColumn("r", "a", UniformTyped<int32_t>(1000, 1000, 46));
-  EXPECT_THROW(db.Insert("r", "a", int64_t{1} << 40), std::out_of_range);
-  const size_t before = db.CountRange("r", "a", 400, 410);
-  db.Insert("r", "a", 405);
-  EXPECT_EQ(db.CountRange("r", "a", 400, 410), before + 1);
-  EXPECT_TRUE(db.Delete("r", "a", 405));
-  EXPECT_EQ(db.CountRange("r", "a", 400, 410), before);
+  const ColumnHandle h = db.Resolve("r", "a");
+  EXPECT_THROW(db.InsertScalar(h, int64_t{1} << 40), std::out_of_range);
+  const size_t before = CountOf(db, h, 400, 410);
+  db.InsertScalar(h, 405);
+  EXPECT_EQ(CountOf(db, h, 400, 410), before + 1);
+  EXPECT_TRUE(db.DeleteScalar(h, 405));
+  EXPECT_EQ(CountOf(db, h, 400, 410), before);
 }
 
 /// Executor-per-mode parity: every strategy object answers the same counts
-/// as the naive reference over the handle-based path (the seed
-/// database_test covers the name-based path; together they pin the
-/// refactor to the old facade's results).
+/// as the naive reference through a session's Execute.
 class ExecutorModeParityTest : public ::testing::TestWithParam<ExecMode> {};
 
 TEST_P(ExecutorModeParityTest, HandleCountsMatchNaive) {
@@ -625,7 +647,7 @@ TEST_P(ExecutorModeParityTest, HandleCountsMatchNaive) {
   for (int i = 0; i < 40; ++i) {
     const int64_t lo = static_cast<int64_t>(rng.Below(kDomain));
     const int64_t width = 1 + static_cast<int64_t>(rng.Below(kDomain / 4));
-    ASSERT_EQ(s.CountRange(h, lo, lo + width),
+    ASSERT_EQ(CountOf(s, h, lo, lo + width),
               NaiveCount(data, lo, lo + width))
         << ExecModeName(GetParam()) << " query " << i;
   }

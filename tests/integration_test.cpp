@@ -8,10 +8,13 @@
 
 #include "engine/database.h"
 #include "harness/runner.h"
+#include "test_support.h"
 #include "workload/workload.h"
 
 namespace holix {
 namespace {
+
+using test::CountOf;
 
 struct Case {
   ExecMode mode;
@@ -113,9 +116,9 @@ TEST(Integration, InterleavedUpdatesAcrossModes) {
     for (const auto& op : ops) {
       if (op.kind == WorkloadOp::Kind::kQuery) {
         counts.push_back(
-            db.CountRange("r", "a0", op.query.low, op.query.high));
+            CountOf(db, db.Resolve("r", "a0"), op.query.low, op.query.high));
       } else if (op.kind == WorkloadOp::Kind::kInsert) {
-        db.Insert("r", "a0", op.insert_value);
+        db.InsertScalar(db.Resolve("r", "a0"), op.insert_value);
       }
     }
     return counts;

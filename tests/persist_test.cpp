@@ -36,6 +36,8 @@
 namespace holix::persist {
 namespace {
 
+using test::CountOf;
+
 constexpr size_t kRows = 20000;
 constexpr int64_t kDomain = 1 << 20;
 
@@ -247,8 +249,8 @@ TEST_F(PersistTest, SnapshotManifestRoundTrip) {
   db.LoadColumn("r", "a", data);
   const ColumnHandle h = db.Resolve("r", "a");
   // Crack a little so pivots and stats are non-trivial.
-  (void)db.CountRange(h, 1000, 5000);
-  (void)db.CountRange(h, 200000, 400000);
+  (void)CountOf(db, h, 1000, 5000);
+  (void)CountOf(db, h, 200000, 400000);
 
   const DurableDatabaseState st = db.ExportDurableState();
   ASSERT_EQ(st.columns.size(), 1u);
@@ -416,8 +418,9 @@ TEST_F(PersistTest, FailedCheckpointLeavesThePreviousManifestInForce) {
     const uint64_t good_lsn = pm.last_checkpoint_lsn();
 
     // Updates after the good checkpoint live in the WAL.
-    (void)db.Insert("r", "a", kDomain + 1);
-    (void)db.Insert("r", "a", kDomain + 2);
+    const ColumnHandle h = db.Resolve("r", "a");
+    (void)db.InsertScalar(h, kDomain + 1);
+    (void)db.InsertScalar(h, kDomain + 2);
 
     // The next checkpoint dies on its first rename (a column file or the
     // manifest publish — either way the old manifest must survive).
@@ -430,8 +433,8 @@ TEST_F(PersistTest, FailedCheckpointLeavesThePreviousManifestInForce) {
     io::ReloadFaultConfigForTest();
 
     EXPECT_EQ(pm.last_checkpoint_lsn(), good_lsn);
-    (void)db.Insert("r", "a", kDomain + 3);
-    final_count = db.CountRange("r", "a", kDomain, kDomain + 10);
+    (void)db.InsertScalar(h, kDomain + 3);
+    final_count = CountOf(db, h, kDomain, kDomain + 10);
     EXPECT_EQ(final_count, 3u);
   }
   // Recovery proceeds from the previous manifest + full WAL replay — the
@@ -439,8 +442,9 @@ TEST_F(PersistTest, FailedCheckpointLeavesThePreviousManifestInForce) {
   Database db2(ModeOptions(ExecMode::kAdaptive));
   PersistenceManager pm2(db2, DirOptions(temp_dir()));
   EXPECT_TRUE(pm2.recovered());
-  EXPECT_EQ(db2.CountRange("r", "a", kDomain, kDomain + 10), final_count);
-  EXPECT_EQ(db2.CountRange("r", "a", 0, kDomain),
+  const ColumnHandle h2 = db2.Resolve("r", "a");
+  EXPECT_EQ(CountOf(db2, h2, kDomain, kDomain + 10), final_count);
+  EXPECT_EQ(CountOf(db2, h2, 0, kDomain),
             test::NaiveCount(data, 0, kDomain));
 }
 
@@ -454,26 +458,28 @@ TEST_F(PersistTest, WalTailReplaysOnTopOfTheSnapshot) {
     Database db(ModeOptions(ExecMode::kAdaptive));
     db.LoadColumn("r", "a", data);
     PersistenceManager pm(db, DirOptions(temp_dir()));
-    (void)db.CountRange("r", "a", 1000, 9000);
-    (void)db.Insert("r", "a", kDomain + 5);
+    const ColumnHandle h = db.Resolve("r", "a");
+    (void)CountOf(db, h, 1000, 9000);
+    (void)db.InsertScalar(h, kDomain + 5);
     ckpt_lsn = pm.Checkpoint();
 
     // Post-checkpoint tail: inserts, a delete of a base value, queries.
-    (void)db.Insert("r", "a", kDomain + 6);
-    (void)db.Insert("r", "a", 777);
-    EXPECT_TRUE(db.Delete("r", "a", data[0]));
-    (void)db.CountRange("r", "a", 500000, 700000);
-    count_low = db.CountRange("r", "a", 0, 1000);
-    count_probe = db.CountRange("r", "a", kDomain, kDomain + 100);
+    (void)db.InsertScalar(h, kDomain + 6);
+    (void)db.InsertScalar(h, 777);
+    EXPECT_TRUE(db.DeleteScalar(h, data[0]));
+    (void)CountOf(db, h, 500000, 700000);
+    count_low = CountOf(db, h, 0, 1000);
+    count_probe = CountOf(db, h, kDomain, kDomain + 100);
     EXPECT_EQ(count_probe, 2u);
   }
   Database db2(ModeOptions(ExecMode::kAdaptive));
   PersistenceManager pm2(db2, DirOptions(temp_dir()));
   ASSERT_TRUE(pm2.recovered());
   EXPECT_GT(pm2.recovered_lsn(), ckpt_lsn);  // the tail actually replayed
-  EXPECT_EQ(db2.CountRange("r", "a", 0, 1000), count_low);
-  EXPECT_EQ(db2.CountRange("r", "a", kDomain, kDomain + 100), count_probe);
-  EXPECT_EQ(db2.CountRange("r", "a", 777, 778),
+  const ColumnHandle h2 = db2.Resolve("r", "a");
+  EXPECT_EQ(CountOf(db2, h2, 0, 1000), count_low);
+  EXPECT_EQ(CountOf(db2, h2, kDomain, kDomain + 100), count_probe);
+  EXPECT_EQ(CountOf(db2, h2, 777, 778),
             test::NaiveCount(data, 777, 778) + 1);
 }
 
@@ -488,11 +494,11 @@ TEST_F(PersistTest, WarmStartReproducesBitIdenticalPieceBoundaries) {
     const ColumnHandle h = db.Resolve("r", "a");
     // A query stream that cracks across the domain, plus merged updates.
     for (int i = 0; i < 50; ++i) {
-      (void)db.CountRange(h, (i * 7919) % kDomain,
-                          ((i * 7919) % kDomain) + 2048);
+      const int64_t lo = (i * 7919) % kDomain;
+      (void)CountOf(db, h, lo, lo + 2048);
     }
-    (void)db.Insert("r", "a", 4242);
-    EXPECT_TRUE(db.Delete("r", "a", data[10]));
+    (void)db.InsertScalar(h, 4242);
+    EXPECT_TRUE(db.DeleteScalar(h, data[10]));
     pm.Checkpoint();
     // The checkpoint force-merged all pending updates, so this export is
     // exactly the achieved-index state recovery must reproduce.
@@ -542,9 +548,10 @@ TEST_F(PersistTest, RecoveryObservesEveryStageOnce) {
     Database db(ModeOptions(ExecMode::kHolistic));
     db.LoadColumn("r", "a", test::MakeUniform(kRows, kDomain, 61));
     PersistenceManager pm(db, DirOptions(temp_dir()));
-    (void)db.CountRange("r", "a", 100, 5000);
+    const ColumnHandle h = db.Resolve("r", "a");
+    (void)CountOf(db, h, 100, 5000);
     pm.Checkpoint();
-    (void)db.Insert("r", "a", 17);  // WAL tail
+    (void)db.InsertScalar(h, 17);  // WAL tail
   }
   std::vector<uint64_t> before;
   for (const std::string& s : stages) before.push_back(StageObservations(s));
@@ -566,29 +573,35 @@ TEST_F(PersistTest, DoubleColumnsRecoverNaNNegZeroAndInfinities) {
     Database db(ModeOptions(ExecMode::kAdaptive));
     db.LoadColumn<double>("r", "d", data);
     PersistenceManager pm(db, DirOptions(temp_dir()));
-    (void)db.InsertF64("r", "d", -0.0);
-    (void)db.InsertF64("r", "d", nan);
+    const ColumnHandle h = db.Resolve("r", "d");
+    (void)db.InsertScalar(h, KeyScalar::F64(-0.0));
+    (void)db.InsertScalar(h, KeyScalar::F64(nan));
     pm.Checkpoint();
-    (void)db.InsertF64("r", "d", inf);  // WAL tail
-    nan_count = db.CountRangeF64("r", "d", nan, nan);
-    neg_count = db.CountRangeF64("r", "d", -inf, 0.0);
-    fin_count = db.CountRangeF64("r", "d", 0.0, inf);
+    (void)db.InsertScalar(h, KeyScalar::F64(inf));  // WAL tail
+    nan_count = CountOf(db, h, KeyScalar::F64(nan), KeyScalar::F64(nan));
+    neg_count = CountOf(db, h, KeyScalar::F64(-inf), KeyScalar::F64(0.0));
+    fin_count = CountOf(db, h, KeyScalar::F64(0.0), KeyScalar::F64(inf));
     EXPECT_EQ(nan_count, 3u);
   }
   Database db2(ModeOptions(ExecMode::kAdaptive));
   PersistenceManager pm2(db2, DirOptions(temp_dir()));
   ASSERT_TRUE(pm2.recovered());
-  EXPECT_EQ(db2.CountRangeF64("r", "d", nan, nan), nan_count);
-  EXPECT_EQ(db2.CountRangeF64("r", "d", -inf, 0.0), neg_count);
-  EXPECT_EQ(db2.CountRangeF64("r", "d", 0.0, inf), fin_count);
+  const ColumnHandle h2 = db2.Resolve("r", "d");
+  EXPECT_EQ(CountOf(db2, h2, KeyScalar::F64(nan), KeyScalar::F64(nan)),
+            nan_count);
+  EXPECT_EQ(CountOf(db2, h2, KeyScalar::F64(-inf), KeyScalar::F64(0.0)),
+            neg_count);
+  EXPECT_EQ(CountOf(db2, h2, KeyScalar::F64(0.0), KeyScalar::F64(inf)),
+            fin_count);
   // -0.0 rows answer a [0.0, x) probe (the canonical zero class).
-  EXPECT_EQ(db2.CountRangeF64("r", "d", 0.0, 1.0), 3u);
+  EXPECT_EQ(CountOf(db2, h2, KeyScalar::F64(0.0), KeyScalar::F64(1.0)), 3u);
 }
 
-/// Checkpoint → recover must be checksum-equal to the uninterrupted oracle
-/// in every exec mode. Modes without update support run a read-only
-/// workload (their executors reject Insert/Delete by design); the cracking
-/// modes exercise updates too.
+/// Checkpoint → recover must answer exactly the naive oracle over the live
+/// multiset — before the crash and after recovery — in every exec mode.
+/// Modes without update support run a read-only workload (their executors
+/// reject inserts and deletes by design); the cracking modes exercise
+/// updates too.
 class PersistAllModesTest
     : public test::TempDirTest,
       public ::testing::WithParamInterface<ExecMode> {};
@@ -607,20 +620,27 @@ TEST_P(PersistAllModesTest, CheckpointRecoverMatchesOracleCounts) {
   }
   probes.emplace_back(0, kDomain + 100);
 
-  std::vector<size_t> oracle;
+  // The live multiset after the workload below: the naive oracle.
+  std::vector<int64_t> live = data;
+  if (cracking_mode) {
+    live.erase(live.begin() + 3);
+    live.push_back(kDomain + 1);
+    live.push_back(kDomain + 2);
+  }
   {
     Database db(ModeOptions(mode));
     db.LoadColumn("r", "a", data);
     PersistenceManager pm(db, DirOptions(temp_dir()));
-    for (const auto& [lo, hi] : probes) (void)db.CountRange("r", "a", lo, hi);
+    const ColumnHandle h = db.Resolve("r", "a");
+    for (const auto& [lo, hi] : probes) (void)CountOf(db, h, lo, hi);
     if (cracking_mode) {
-      (void)db.Insert("r", "a", kDomain + 1);
-      EXPECT_TRUE(db.Delete("r", "a", data[3]));
+      (void)db.InsertScalar(h, kDomain + 1);
+      EXPECT_TRUE(db.DeleteScalar(h, data[3]));
     }
     pm.Checkpoint();
-    if (cracking_mode) (void)db.Insert("r", "a", kDomain + 2);  // WAL tail
+    if (cracking_mode) (void)db.InsertScalar(h, kDomain + 2);  // WAL tail
     for (const auto& [lo, hi] : probes) {
-      oracle.push_back(db.CountRange("r", "a", lo, hi));
+      ASSERT_EQ(CountOf(db, h, lo, hi), test::NaiveCount(live, lo, hi));
     }
   }
 
@@ -633,12 +653,6 @@ TEST_P(PersistAllModesTest, CheckpointRecoverMatchesOracleCounts) {
       ReadSnapshot(temp_dir().string(), ReadManifest(temp_dir().string()));
   ASSERT_EQ(saved.columns.size(), 1u);
   if (saved.columns[0].has_cracker) {
-    std::vector<int64_t> live = data;
-    if (cracking_mode) {
-      live.erase(live.begin() + 3);
-      live.push_back(kDomain + 1);
-      live.push_back(kDomain + 2);
-    }
     std::sort(live.begin(), live.end());
     const auto cracker = CrackerOf(db2);
     ASSERT_NE(cracker, nullptr);
@@ -652,9 +666,10 @@ TEST_P(PersistAllModesTest, CheckpointRecoverMatchesOracleCounts) {
       EXPECT_EQ(at[w], want) << "pivot " << w;
     }
   }
+  const ColumnHandle h2 = db2.Resolve("r", "a");
   for (size_t i = 0; i < probes.size(); ++i) {
-    EXPECT_EQ(db2.CountRange("r", "a", probes[i].first, probes[i].second),
-              oracle[i])
+    const auto [lo, hi] = probes[i];
+    EXPECT_EQ(CountOf(db2, h2, lo, hi), test::NaiveCount(live, lo, hi))
         << "mode " << static_cast<int>(mode) << " probe " << i;
   }
 }

@@ -4,8 +4,8 @@
 /// empty conjunctions / empty result lists / column-less sums,
 /// predicate-order independence of every result (double sums bit-exact),
 /// per-predicate index refinement under repetition, concurrent
-/// multi-predicate queries racing inserts, and the name-based F64
-/// convenience overloads (SelectRowIdsF64 / ProjectSumF64).
+/// multi-predicate queries racing inserts, and one-predicate double
+/// selects and projected sums against the oracle.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,10 @@
 namespace holix {
 namespace {
 
+using test::CountOf;
 using test::MakeUniform;
+using test::RowIdsOf;
+using test::SumOf;
 
 constexpr int64_t kDomain = 1 << 20;
 
@@ -385,8 +388,8 @@ TEST(QuerySpec, ConcurrentMultiPredicateQueriesWithInserts) {
       Session s = db.OpenSession();
       Rng rng(200 + t);
       for (int i = 0; i < 200; ++i) {
-        s.Insert(t == 0 ? ha : hb,
-                 static_cast<int64_t>(rng.Below(kDomain)));
+        s.InsertScalar(t == 0 ? ha : hb,
+                       static_cast<int64_t>(rng.Below(kDomain)));
       }
     });
   }
@@ -408,7 +411,7 @@ TEST(QuerySpec, ConcurrentMultiPredicateQueriesWithInserts) {
 
 TEST(QuerySpec, MaterializedPathIncludesAppendedRowsConsistently) {
   // A row appended by Insert is visible to every shape that touches only
-  // its own column: the legacy one-predicate/one-result primitives AND the
+  // its own column: the one-predicate/one-result shapes AND the
   // materialized path (several results), whose positional sums resolve the
   // appended rowid through the column's pending registry. Count, rowids
   // and sums must agree about which rows qualify.
@@ -425,11 +428,11 @@ TEST(QuerySpec, MaterializedPathIncludesAppendedRowsConsistently) {
       base_sum += v;
     }
   }
-  const RowId inserted = db.Insert(ha, 500);
+  const RowId inserted = db.InsertScalar(ha, 500);
   EXPECT_GE(inserted, a.size());
-  // Legacy shape: the merged pending insert is counted and summed.
-  EXPECT_EQ(db.CountRange(ha, 0, 1000), base_count + 1);
-  EXPECT_EQ(db.SumRange(ha, 0, 1000), base_sum + 500);
+  // One-predicate shapes: the merged pending insert is counted and summed.
+  EXPECT_EQ(CountOf(db, ha, 0, 1000), base_count + 1);
+  EXPECT_EQ(SumOf(db, ha, 0, 1000).i, base_sum + 500);
 
   // Materialized shape: same qualifying set, internally consistent.
   QuerySpec spec;
@@ -450,7 +453,7 @@ TEST(QuerySpec, MaterializedPathIncludesAppendedRowsConsistently) {
   // Deleting one row with that value (whichever rowid the index resolves
   // — possibly the appended one, whose registry entry is then erased)
   // shrinks every result shape by exactly that row.
-  EXPECT_TRUE(db.Delete(ha, 500));
+  EXPECT_TRUE(db.DeleteScalar(ha, 500));
   const QueryResult gone = db.Execute(spec);
   EXPECT_EQ(gone.values[0].i, static_cast<int64_t>(base_count));
   EXPECT_EQ(gone.values[1].i, base_sum);
@@ -486,7 +489,7 @@ TEST(QuerySpec, ConjunctionAfterInsertBitExactInAllModes) {
 
     bool inserted = false;
     try {
-      db.Insert(ha, 5000);  // qualifies on a, missing from b
+      db.InsertScalar(ha, 5000);  // qualifies on a, missing from b
       inserted = true;
     } catch (const std::logic_error&) {
       // Non-cracking modes reject updates; the conjunction must still be
@@ -549,11 +552,12 @@ TEST(QuerySpec, ProjectSumAfterInsertStaysInBounds) {
   for (size_t i = 0; i < rows; ++i) {
     if (a[i] >= 0 && a[i] < 900000) expect += b[i];
   }
-  for (int i = 0; i < 64; ++i) db.Insert(ha, 100 + i);
-  EXPECT_EQ(db.ProjectSum(ha, hb, 0, 900000), expect);
+  for (int i = 0; i < 64; ++i) db.InsertScalar(ha, 100 + i);
+  const QuerySpec psum = QuerySpec().Where(ha, 0, 900000).ProjectSum(hb);
+  EXPECT_EQ(db.Execute(psum).values[0].i, expect);
   // Run twice: the first call Ripple-merged the pending rows into the
   // index, so the second exercises the persistent registry path.
-  EXPECT_EQ(db.ProjectSum(ha, hb, 0, 900000), expect);
+  EXPECT_EQ(db.Execute(psum).values[0].i, expect);
 }
 
 TEST(QuerySpec, AsyncSubmitExecute) {
@@ -572,7 +576,9 @@ TEST(QuerySpec, AsyncSubmitExecute) {
   EXPECT_EQ(fut.get().values[0].i, sync.values[0].i);
 }
 
-TEST(QuerySpec, NameBasedF64ConvenienceOverloads) {
+TEST(QuerySpec, DoubleSelectAndProjectSumMatchOracle) {
+  // One-predicate shapes over double columns with f64 bounds: the rowid
+  // select and the late-reconstruction sum of a second double column.
   const auto d1 = UniformDoubles(8000, 62);
   const auto d2 = UniformDoubles(8000, 63);
   Database db(ModeOptions(ExecMode::kAdaptive));
@@ -581,23 +587,23 @@ TEST(QuerySpec, NameBasedF64ConvenienceOverloads) {
   const ColumnHandle h1 = db.Resolve("t", "d1");
   const ColumnHandle h2 = db.Resolve("t", "d2");
 
-  // The name-based forms must agree with the handle-based core.
-  const double lo = 250.25, hi = 100000.5;
-  PositionList by_name = db.SelectRowIdsF64("t", "d1", lo, hi);
-  PositionList by_handle = db.SelectRowIdsF64(h1, lo, hi);
-  std::sort(by_name.begin(), by_name.end());
-  std::sort(by_handle.begin(), by_handle.end());
-  EXPECT_EQ(by_name, by_handle);
-  EXPECT_FALSE(by_name.empty());
-
-  const double ps_name = db.ProjectSumF64("t", "d1", "d2", lo, hi);
-  const double ps_handle = db.ProjectSumF64(h1, h2, lo, hi);
-  EXPECT_DOUBLE_EQ(ps_name, ps_handle);
+  const KeyScalar lo = KeyScalar::F64(250.25), hi = KeyScalar::F64(100000.5);
+  PositionList rows = RowIdsOf(db, h1, lo, hi);
+  std::sort(rows.begin(), rows.end());  // native (cracked) order otherwise
+  PositionList expect_rows;
   double oracle = 0;
   for (size_t i = 0; i < d1.size(); ++i) {
-    if (d1[i] >= lo && d1[i] < hi) oracle += d2[i];
+    if (d1[i] >= lo.d && d1[i] < hi.d) {
+      expect_rows.push_back(i);
+      oracle += d2[i];
+    }
   }
-  EXPECT_DOUBLE_EQ(ps_name, oracle);
+  EXPECT_EQ(rows, expect_rows);
+  EXPECT_FALSE(rows.empty());
+  const KeyScalar psum =
+      db.Execute(QuerySpec().Where(h1, lo, hi).ProjectSum(h2)).values[0];
+  ASSERT_TRUE(psum.is_f64());
+  EXPECT_DOUBLE_EQ(psum.d, oracle);
 }
 
 }  // namespace

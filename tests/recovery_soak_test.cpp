@@ -29,6 +29,8 @@
 namespace holix::persist {
 namespace {
 
+using test::CountOf;
+
 constexpr size_t kRows = 50000;
 constexpr int64_t kDomain = 1 << 20;
 constexpr uint64_t kSeed = 97;
@@ -96,8 +98,8 @@ class AckFile {
     // duplicate an eventually-acknowledged value.
     start = AckFile::Read(ack_path);
     const ColumnHandle probe = db.Resolve("r", "a");
-    while (db.CountRange(probe, static_cast<int64_t>(kDomain + start + 1),
-                         static_cast<int64_t>(kDomain + start + 2)) == 1) {
+    while (CountOf(db, probe, static_cast<int64_t>(kDomain + start + 1),
+                   static_cast<int64_t>(kDomain + start + 2)) == 1) {
       ++start;
     }
   } else {
@@ -112,19 +114,20 @@ class AckFile {
 
   const ColumnHandle h = db.Resolve("r", "a");
   for (uint64_t i = start + 1;; ++i) {
-    (void)db.Insert(h, static_cast<int64_t>(kDomain + i));  // durable on return
+    // Durable on return.
+    (void)db.InsertScalar(h, static_cast<int64_t>(kDomain + i));
     ack.Record(i);
     if (i % 8 == 0) {
       const int64_t lo = static_cast<int64_t>((i * 7919) % kDomain);
-      (void)db.CountRange(h, lo, lo + 4096);
+      (void)CountOf(db, h, lo, lo + 4096);
     }
     if (i % 32 == 0) {
       // Keep the delete WAL path hot with disposable values outside the
       // tracked region: insert-then-delete is net zero, and a crash
       // between the two legs strands at most one leftover there.
       const int64_t w = static_cast<int64_t>(2 * kDomain + i);
-      (void)db.Insert(h, w);
-      (void)db.Delete(h, w);
+      (void)db.InsertScalar(h, w);
+      (void)db.DeleteScalar(h, w);
     }
   }
 }
@@ -177,23 +180,23 @@ TEST(RecoverySoak, KillNineThenRecoverMatchesAcknowledgementOracle) {
     //    value is present exactly once.
     for (uint64_t i = 1; i <= acked; ++i) {
       const int64_t v = static_cast<int64_t>(kDomain + i);
-      ASSERT_EQ(db.CountRange(h, v, v + 1), 1u)
+      ASSERT_EQ(CountOf(db, h, v, v + 1), 1u)
           << "cycle " << cycle << " acked insert " << i;
     }
     // 2. At most one in-flight insert beyond the ack file: an insert can
     //    be WAL-durable before its ack write lands, but nothing further.
-    const size_t inserted = db.CountRange(
-        h, kDomain, kDomain + static_cast<int64_t>(acked) + 100);
+    const size_t inserted =
+        CountOf(db, h, kDomain, kDomain + static_cast<int64_t>(acked) + 100);
     EXPECT_GE(inserted, acked);
     EXPECT_LE(inserted, acked + 1);
     // 2b. Disposable insert+delete pairs are net zero; each crash strands
     //     at most one leftover in their region.
-    EXPECT_LE(db.CountRange(h, 2 * kDomain, 3 * kDomain),
+    EXPECT_LE(CountOf(db, h, 2 * kDomain, 3 * kDomain),
               static_cast<size_t>(cycle) + 1);
     // 3. Base data checksum-equal to the uninterrupted oracle.
-    EXPECT_EQ(db.CountRange(h, 0, kDomain), kRows);
+    EXPECT_EQ(CountOf(db, h, 0, kDomain), kRows);
     for (int64_t lo = 0; lo < kDomain; lo += kDomain / 8) {
-      EXPECT_EQ(db.CountRange(h, lo, lo + kDomain / 8),
+      EXPECT_EQ(CountOf(db, h, lo, lo + kDomain / 8),
                 test::NaiveCount(base, lo, lo + kDomain / 8))
           << "cycle " << cycle << " base range at " << lo;
     }

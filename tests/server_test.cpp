@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <string>
@@ -26,6 +27,12 @@
 
 namespace holix::net {
 namespace {
+
+using test::AwaitCount;
+using test::NaiveCount;
+using test::SumOf;
+using test::WireCount;
+using test::WireQuery;
 
 constexpr int64_t kDomain = 1 << 20;
 
@@ -121,7 +128,7 @@ TEST(Server, StartStopLifecycle) {
   server.Stop();
 }
 
-TEST(Server, SyncQueriesMatchInProcessSession) {
+TEST(Server, SyncQueriesMatchNaiveOracle) {
   Database db(SmallDbOptions());
   const auto data = test::MakeUniform(50000, kDomain, 2);
   db.LoadColumn("r", "a", data);
@@ -132,20 +139,25 @@ TEST(Server, SyncQueriesMatchInProcessSession) {
   client.Connect("127.0.0.1", server.port());
   const uint64_t sid = client.OpenSession();
 
-  Session inproc = db.OpenSession();
   Rng rng(3);
   for (int i = 0; i < 32; ++i) {
     const int64_t lo = static_cast<int64_t>(rng.Below(kDomain));
     const int64_t hi = lo + 1 + static_cast<int64_t>(rng.Below(kDomain / 4));
-    ASSERT_EQ(client.CountRange(sid, "r", "a", lo, hi),
-              inproc.CountRange("r", "a", lo, hi))
+    ASSERT_EQ(WireCount(client, sid, "r", "a", lo, hi),
+              NaiveCount(data, lo, hi))
         << "query " << i;
   }
-  EXPECT_EQ(client.SumRange(sid, "r", "a", 100, 90000),
-            inproc.SumRange("r", "a", 100, 90000));
-  const auto rowids = client.SelectRowIds(sid, "r", "a", 100, 9000);
-  EXPECT_EQ(rowids.size(), inproc.SelectRowIds(
-                               inproc.Handle("r", "a"), 100, 9000).size());
+  int64_t naive_sum = 0;
+  std::vector<uint64_t> naive_rows;
+  for (size_t i = 0; i < data.size(); ++i) {
+    if (data[i] >= 100 && data[i] < 90000) naive_sum += data[i];
+    if (data[i] >= 100 && data[i] < 9000) naive_rows.push_back(i);
+  }
+  EXPECT_EQ(WireQuery(client, sid, "r", "a", 100, 90000, 1, "a").i, naive_sum);
+  std::vector<uint64_t> rowids =
+      client.ExecuteQuery(sid, "r", {{"a", 100, 9000}}, {{2, ""}}).rowids;
+  std::sort(rowids.begin(), rowids.end());  // the mode's native order
+  EXPECT_EQ(rowids, naive_rows);
   client.CloseSession(sid);
   client.Close();
   server.Stop();
@@ -167,16 +179,16 @@ TEST(Server, ProjectSumAndUpdatesOverTheWire) {
   for (size_t i = 0; i < a.size(); ++i) {
     if (a[i] >= 100 && a[i] < 90000) naive += b[i];
   }
-  EXPECT_EQ(client.ProjectSum(sid, "r", "a", "b", 100, 90000), naive);
+  EXPECT_EQ(WireQuery(client, sid, "r", "a", 100, 90000, 3, "b").i, naive);
 
   // Insert outside the base domain, read it back, delete it.
   const int64_t band = int64_t{1} << 21;
-  EXPECT_EQ(client.CountRange(sid, "r", "a", band, band + 10), 0u);
-  client.Insert(sid, "r", "a", band + 5);
-  EXPECT_EQ(client.CountRange(sid, "r", "a", band, band + 10), 1u);
-  EXPECT_TRUE(client.Delete(sid, "r", "a", band + 5));
-  EXPECT_FALSE(client.Delete(sid, "r", "a", band + 5));
-  EXPECT_EQ(client.CountRange(sid, "r", "a", band, band + 10), 0u);
+  EXPECT_EQ(WireCount(client, sid, "r", "a", band, band + 10), 0u);
+  client.InsertScalar(sid, "r", "a", band + 5);
+  EXPECT_EQ(WireCount(client, sid, "r", "a", band, band + 10), 1u);
+  EXPECT_TRUE(client.DeleteScalar(sid, "r", "a", band + 5));
+  EXPECT_FALSE(client.DeleteScalar(sid, "r", "a", band + 5));
+  EXPECT_EQ(WireCount(client, sid, "r", "a", band, band + 10), 0u);
   server.Stop();
 }
 
@@ -196,35 +208,51 @@ TEST(Server, DoubleColumnTypedScalarsOverTheWire) {
   client.Connect("127.0.0.1", server.port());
   const uint64_t sid = client.OpenSession();
 
-  Session inproc = db.OpenSession();
+  // The generated prices are finite, so plain comparisons are the oracle.
+  auto naive_count = [&](double lo, double hi) {
+    uint64_t n = 0;
+    for (double p : prices) n += (p >= lo && p < hi) ? 1 : 0;
+    return n;
+  };
   Rng rng(7);
   for (int i = 0; i < 16; ++i) {
     const double lo = static_cast<double>(rng.Below(kDomain)) + 0.25;
     const double hi = lo + 1.0 + static_cast<double>(rng.Below(kDomain / 4));
-    ASSERT_EQ(client.CountRangeF64(sid, "r", "price", lo, hi),
-              inproc.CountRangeF64("r", "price", lo, hi))
+    ASSERT_EQ(WireCount(client, sid, "r", "price", lo, hi),
+              naive_count(lo, hi))
         << "query " << i;
   }
-  // The sum travels as an f64 scalar and matches in-process bit-for-bit
-  // (same engine, same physical order).
-  const KeyScalar wire_sum = client.SumRangeScalar(
-      sid, "r", "price", KeyScalar::F64(100.5), KeyScalar::F64(90000.5));
+  // The sum travels as an f64 scalar: within rounding of the oracle, and
+  // bit-equal to the same query in process (same engine, same physical
+  // order).
+  const KeyScalar lo = KeyScalar::F64(100.5), hi = KeyScalar::F64(90000.5);
+  const KeyScalar wire_sum =
+      WireQuery(client, sid, "r", "price", lo, hi, 1, "price");
   ASSERT_TRUE(wire_sum.is_f64());
-  EXPECT_EQ(wire_sum.d, inproc.SumRangeF64("r", "price", 100.5, 90000.5));
+  double naive_sum = 0;
+  for (double p : prices) naive_sum += (p >= lo.d && p < hi.d) ? p : 0.0;
+  EXPECT_NEAR(wire_sum.d, naive_sum, 1e-9 * naive_sum);
+  EXPECT_TRUE(wire_sum == SumOf(db, db.Resolve("r", "price"), lo, hi));
 
   // Special keys over the wire: insert NaN and +inf, count them through
   // the closed upgrade at the NaN key, then delete them.
-  client.InsertF64(sid, "r", "price", nan);
-  client.InsertF64(sid, "r", "price", kInf);
-  EXPECT_EQ(client.CountRangeF64(sid, "r", "price", kInf, nan), 2u);
-  EXPECT_EQ(client.CountRangeF64(sid, "r", "price", nan, nan), 1u);
-  EXPECT_TRUE(client.DeleteF64(sid, "r", "price", nan));
-  EXPECT_TRUE(client.DeleteF64(sid, "r", "price", kInf));
-  EXPECT_EQ(client.CountRangeF64(sid, "r", "price", kInf, nan), 0u);
+  client.InsertScalar(sid, "r", "price", KeyScalar::F64(nan));
+  client.InsertScalar(sid, "r", "price", KeyScalar::F64(kInf));
+  EXPECT_EQ(WireCount(client, sid, "r", "price", KeyScalar::F64(kInf),
+                      KeyScalar::F64(nan)),
+            2u);
+  EXPECT_EQ(WireCount(client, sid, "r", "price", KeyScalar::F64(nan),
+                      KeyScalar::F64(nan)),
+            1u);
+  EXPECT_TRUE(client.DeleteScalar(sid, "r", "price", KeyScalar::F64(nan)));
+  EXPECT_TRUE(client.DeleteScalar(sid, "r", "price", KeyScalar::F64(kInf)));
+  EXPECT_EQ(WireCount(client, sid, "r", "price", KeyScalar::F64(kInf),
+                      KeyScalar::F64(nan)),
+            0u);
 
   // int64 bounds against the double column clamp exactly too.
-  EXPECT_EQ(client.CountRange(sid, "r", "price", 100, 90000),
-            inproc.CountRange("r", "price", 100, 90000));
+  EXPECT_EQ(WireCount(client, sid, "r", "price", 100, 90000),
+            naive_count(100.0, 90000.0));
   server.Stop();
 }
 
@@ -234,16 +262,21 @@ TEST(Server, VersionMismatchRejectedWithErrorFrame) {
   HolixServer server(db);
   server.Start();
 
-  RawConn raw(server.port());
-  Hello hello;
-  hello.version = kProtocolVersion + 1;
-  raw.Send(EncodeMessage(1, hello));
-  const Frame f = raw.ReadFrame();
-  ASSERT_EQ(f.type, MsgType::kError);
-  ErrorMsg err;
-  ASSERT_TRUE(DecodeMessage(f, &err));
-  EXPECT_EQ(err.code, ErrorCode::kVersionMismatch);
-  EXPECT_TRUE(raw.WaitForClose());
+  // A newer peer and an older one (a v4 client still speaking the
+  // per-primitive frames) are both refused at Hello.
+  for (const uint16_t version : {static_cast<uint16_t>(kProtocolVersion + 1),
+                                 static_cast<uint16_t>(kProtocolVersion - 1)}) {
+    RawConn raw(server.port());
+    Hello hello;
+    hello.version = version;
+    raw.Send(EncodeMessage(1, hello));
+    const Frame f = raw.ReadFrame();
+    ASSERT_EQ(f.type, MsgType::kError) << "version " << version;
+    ErrorMsg err;
+    ASSERT_TRUE(DecodeMessage(f, &err));
+    EXPECT_EQ(err.code, ErrorCode::kVersionMismatch) << "version " << version;
+    EXPECT_TRUE(raw.WaitForClose()) << "version " << version;
+  }
   server.Stop();
 }
 
@@ -289,12 +322,12 @@ TEST(Server, QueryErrorsKeepTheConnectionAlive) {
   client.Connect("127.0.0.1", server.port());
   const uint64_t sid = client.OpenSession();
   // Unknown column -> error frame, connection stays usable.
-  EXPECT_THROW(client.CountRange(sid, "r", "nope", 0, 10),
+  EXPECT_THROW(WireCount(client, sid, "r", "nope", 0, 10),
                std::runtime_error);
   // Unknown session -> error frame, connection stays usable.
-  EXPECT_THROW(client.CountRange(sid + 999, "r", "a", 0, 10),
+  EXPECT_THROW(WireCount(client, sid + 999, "r", "a", 0, 10),
                std::runtime_error);
-  EXPECT_EQ(client.CountRange(sid, "r", "a", 0, kDomain), 10000u);
+  EXPECT_EQ(WireCount(client, sid, "r", "a", 0, kDomain), 10000u);
   server.Stop();
 }
 
@@ -313,7 +346,7 @@ TEST(Server, SessionCapRejectsExcessOpens) {
   // Closing one frees a slot; the connection stays healthy throughout.
   client.CloseSession(s1);
   const uint64_t s3 = client.OpenSession();
-  EXPECT_EQ(client.CountRange(s3, "r", "a", 0, kDomain), 1000u);
+  EXPECT_EQ(WireCount(client, s3, "r", "a", 0, kDomain), 1000u);
   server.Stop();
 }
 
@@ -327,7 +360,6 @@ TEST(Server, PipelinedRequestsCompleteOutOfOrderById) {
   client.Connect("127.0.0.1", server.port());
   const uint64_t sid = client.OpenSession();
 
-  Session inproc = db.OpenSession();
   std::vector<uint64_t> ids;
   std::vector<std::pair<int64_t, int64_t>> ranges;
   Rng rng(11);
@@ -335,12 +367,13 @@ TEST(Server, PipelinedRequestsCompleteOutOfOrderById) {
     const int64_t lo = static_cast<int64_t>(rng.Below(kDomain));
     const int64_t hi = lo + 1 + static_cast<int64_t>(rng.Below(kDomain / 4));
     ranges.emplace_back(lo, hi);
-    ids.push_back(client.SendCountRange(sid, "r", "a", lo, hi));
+    ids.push_back(
+        client.SendExecuteQuery(sid, "r", {{"a", lo, hi}}, {{0, ""}}));
   }
   // Await in reverse order: responses must match by id, not arrival.
   for (size_t i = ids.size(); i-- > 0;) {
-    EXPECT_EQ(client.AwaitCount(ids[i]),
-              inproc.CountRange("r", "a", ranges[i].first, ranges[i].second))
+    EXPECT_EQ(AwaitCount(client, ids[i]),
+              NaiveCount(data, ranges[i].first, ranges[i].second))
         << "request " << i;
   }
   EXPECT_EQ(client.StashedResponses(), 0u);
@@ -478,13 +511,13 @@ TEST(Server, ConcurrentClientsMixedReadsAndInsertsChecksumMatch) {
       const uint64_t sid = client.OpenSession();
       Rng rng(100 + c);
       for (int i = 0; i < kOpsPerClient; ++i) {
-        client.Insert(sid, "r", "a", kBandBase + c * 1000 + i);
+        client.InsertScalar(sid, "r", "a", kBandBase + c * 1000 + i);
         const int64_t lo = static_cast<int64_t>(rng.Below(kDomain));
         const int64_t hi =
             lo + 1 + static_cast<int64_t>(rng.Below(kDomain / 8));
         // Base-domain reads are unaffected by the out-of-band inserts.
-        if (client.CountRange(sid, "r", "a", lo, hi) !=
-            test::NaiveCount(data, lo, hi)) {
+        if (WireCount(client, sid, "r", "a", lo, hi) !=
+            NaiveCount(data, lo, hi)) {
           failures.fetch_add(1);
         }
       }
@@ -498,13 +531,13 @@ TEST(Server, ConcurrentClientsMixedReadsAndInsertsChecksumMatch) {
   HolixClient verify;
   verify.Connect("127.0.0.1", port);
   const uint64_t vsid = verify.OpenSession();
-  Session inproc = db.OpenSession();
+  const ColumnHandle h = db.Resolve("r", "a");
   for (int c = 0; c < kClients; ++c) {
     const int64_t lo = kBandBase + c * 1000;
-    EXPECT_EQ(verify.CountRange(vsid, "r", "a", lo, lo + kOpsPerClient),
+    EXPECT_EQ(WireCount(verify, vsid, "r", "a", lo, lo + kOpsPerClient),
               static_cast<size_t>(kOpsPerClient))
         << "client " << c;
-    EXPECT_EQ(inproc.CountRange("r", "a", lo, lo + kOpsPerClient),
+    EXPECT_EQ(test::CountOf(db, h, lo, lo + kOpsPerClient),
               static_cast<size_t>(kOpsPerClient));
   }
   EXPECT_GE(server.TotalConnections(), static_cast<uint64_t>(kClients + 1));
@@ -533,18 +566,19 @@ TEST(Server, StopDrainsInFlightPipelinedQueries) {
     const int64_t lo = static_cast<int64_t>(rng.Below(kDomain));
     const int64_t hi = lo + 1 + static_cast<int64_t>(rng.Below(kDomain));
     ranges.emplace_back(lo, hi);
-    ids.push_back(client.SendCountRange(sid, "r", "a", lo, hi));
+    ids.push_back(
+        client.SendExecuteQuery(sid, "r", {{"a", lo, hi}}, {{0, ""}}));
   }
   // Anchor: the first response proves the server is mid-stream before the
   // concurrent Stop() begins.
-  EXPECT_EQ(client.AwaitCount(ids[0]),
-            test::NaiveCount(data, ranges[0].first, ranges[0].second));
+  EXPECT_EQ(AwaitCount(client, ids[0]),
+            NaiveCount(data, ranges[0].first, ranges[0].second));
   std::thread stopper([&] { server.Stop(); });
   size_t answered = 1;
   for (size_t i = 1; i < ids.size(); ++i) {
     try {
-      EXPECT_EQ(client.AwaitCount(ids[i]),
-                test::NaiveCount(data, ranges[i].first, ranges[i].second))
+      EXPECT_EQ(AwaitCount(client, ids[i]),
+                NaiveCount(data, ranges[i].first, ranges[i].second))
           << "request " << i;
       ++answered;
     } catch (const std::runtime_error&) {
@@ -581,18 +615,17 @@ TEST(Server, OneBytePerSendReassemblesFrames) {
   OpenSessionAck open;
   ASSERT_TRUE(DecodeMessage(ack, &open));
 
-  CountRangeReq req;
+  ExecuteQueryReq req;
   req.session_id = open.session_id;
   req.table = "r";
-  req.column = "a";
-  req.low = KeyScalar::I64(0);
-  req.high = KeyScalar::I64(kDomain);
+  req.predicates.push_back({"a", KeyScalar::I64(0), KeyScalar::I64(kDomain)});
+  req.results.push_back({0, ""});
   dribble(EncodeMessage(3, req));
   const Frame f = raw.ReadFrame();
-  ASSERT_EQ(f.type, MsgType::kCountResult);
-  CountResult res;
+  ASSERT_EQ(f.type, MsgType::kExecuteQueryResult);
+  ExecuteQueryResult res;
   ASSERT_TRUE(DecodeMessage(f, &res));
-  EXPECT_EQ(res.count, data.size());
+  EXPECT_EQ(res.values[0].i, static_cast<int64_t>(data.size()));
   server.Stop();
 }
 
@@ -609,13 +642,13 @@ TEST(Server, ResetMidFrameLeavesServerHealthy) {
     RawConn raw(server.port());
     raw.Send(EncodeMessage(1, Hello{}));
     EXPECT_EQ(raw.ReadFrame().type, MsgType::kHelloAck);
-    // First half of a valid CountRange frame, then RST.
-    CountRangeReq req;
+    // First half of a valid ExecuteQuery frame, then RST.
+    ExecuteQueryReq req;
     req.session_id = 1;
     req.table = "r";
-    req.column = "a";
-    req.low = KeyScalar::I64(0);
-    req.high = KeyScalar::I64(kDomain);
+    req.predicates.push_back(
+        {"a", KeyScalar::I64(0), KeyScalar::I64(kDomain)});
+    req.results.push_back({0, ""});
     const std::vector<uint8_t> frame = EncodeMessage(2, req);
     raw.Send({frame.begin(), frame.begin() + frame.size() / 2});
     raw.Reset();
@@ -632,13 +665,13 @@ TEST(Server, ResetMidFrameLeavesServerHealthy) {
   HolixClient client;
   client.Connect("127.0.0.1", server.port());
   const uint64_t sid = client.OpenSession();
-  EXPECT_EQ(client.CountRange(sid, "r", "a", 0, kDomain), data.size());
+  EXPECT_EQ(WireCount(client, sid, "r", "a", 0, kDomain), data.size());
   server.Stop();
 }
 
 /// Every socket read is one engine query: two connections each pipeline
-/// 64 counts, half as CountRange frames and half as one-predicate count
-/// ExecuteQuery frames. Each answer matches the naive oracle, and the
+/// 64 one-predicate ExecuteQuery frames, half asking for the count and
+/// half for the rowids. Each answer matches the naive oracle, and the
 /// mode's holix_queries_total series grows by exactly the number of reads
 /// sent, in every ExecMode.
 class ServerReadPathTest : public ::testing::TestWithParam<ExecMode> {};
@@ -673,28 +706,21 @@ TEST_P(ServerReadPathTest, EverySocketReadIsOneEngineQuery) {
         const int64_t hi =
             lo + 1 + static_cast<int64_t>(rng.Below(kDomain / 2));
         ranges.emplace_back(lo, hi);
-        if (i % 2 == 0) {
-          ids.push_back(client.SendCountRange(sid, "r", "a", KeyScalar::I64(lo),
-                                              KeyScalar::I64(hi)));
-        } else {
-          ids.push_back(client.SendExecuteQuery(
-              sid, "r", {{"a", KeyScalar::I64(lo), KeyScalar::I64(hi)}},
-              {{0, ""}}));
-        }
+        const uint8_t kind = i % 2 == 0 ? 0 : 2;  // count, rowids
+        ids.push_back(client.SendExecuteQuery(
+            sid, "r", {{"a", KeyScalar::I64(lo), KeyScalar::I64(hi)}},
+            {{kind, ""}}));
       }
       for (size_t i = 0; i < ids.size(); ++i) {
         const size_t want =
-            test::NaiveCount(data, ranges[i].first, ranges[i].second);
-        if (i % 2 == 0) {
-          EXPECT_EQ(client.AwaitCount(ids[i]), want)
-              << "connection " << c << " request " << i;
-        } else {
-          const ExecuteQueryResult res = client.AwaitExecuteQuery(ids[i]);
-          ASSERT_EQ(res.values.size(), 1u);
-          EXPECT_TRUE(res.values[0] ==
-                      KeyScalar::I64(static_cast<int64_t>(want)))
-              << "connection " << c << " request " << i;
-        }
+            NaiveCount(data, ranges[i].first, ranges[i].second);
+        const ExecuteQueryResult res = client.AwaitExecuteQuery(ids[i]);
+        ASSERT_EQ(res.values.size(), 1u);
+        EXPECT_TRUE(res.values[0] ==
+                    KeyScalar::I64(static_cast<int64_t>(want)))
+            << "connection " << c << " request " << i;
+        EXPECT_EQ(res.rowids.size(), i % 2 == 0 ? 0 : want)
+            << "connection " << c << " request " << i;
       }
     });
   }
@@ -729,7 +755,7 @@ TEST(Server, GetStatsMatchesInProcessSnapshot) {
   // snapshot (each call returns only after its response frame arrived).
   uint64_t total = 0;
   for (int i = 0; i < 16; ++i) {
-    total += client.CountRange(sid, "r", "a", i * 1000, i * 1000 + 50000);
+    total += WireCount(client, sid, "r", "a", i * 1000, i * 1000 + 50000);
   }
   EXPECT_GT(total, 0u);
 
@@ -766,7 +792,7 @@ TEST(Server, HttpMetricsEndpointServesPrometheusText) {
   HolixClient client;
   client.Connect("127.0.0.1", server.port());
   const uint64_t sid = client.OpenSession();
-  client.CountRange(sid, "r", "a", 0, kDomain / 2);
+  WireCount(client, sid, "r", "a", 0, kDomain / 2);
 
   auto http_get = [&](const std::string& path) {
     RawConn raw(server.metrics_port());

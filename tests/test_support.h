@@ -10,7 +10,9 @@
 ///  * a RunOneCycle-based engine driver so holistic-engine tests pump
 ///    tuning cycles synchronously instead of depending on wall-clock
 ///    CPU load, plus a bounded progress wait for the few tests that do
-///    exercise the real tuning thread.
+///    exercise the real tuning thread,
+///  * one-predicate query shorthands over Execute (in process) and
+///    ExecuteQuery (over the wire).
 
 #pragma once
 
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "cracking/cracker_column.h"
+#include "engine/query_spec.h"
 #include "holistic/adaptive_index.h"
 #include "holistic/holistic_engine.h"
 #include "util/rng.h"
@@ -141,6 +144,43 @@ inline bool WaitForProgress(
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return true;
+}
+
+// --- One-predicate queries --------------------------------------------------
+
+/// The §3.1 select shapes as one-predicate specs, through Execute on a
+/// Database or a Session ...
+template <typename E>
+size_t CountOf(E& e, const ColumnHandle& h, KeyScalar lo, KeyScalar hi) {
+  return static_cast<size_t>(
+      e.Execute(QuerySpec().Where(h, lo, hi).Count()).values[0].i);
+}
+template <typename E>
+KeyScalar SumOf(E& e, const ColumnHandle& h, KeyScalar lo, KeyScalar hi) {
+  return e.Execute(QuerySpec().Where(h, lo, hi).Sum(h)).values[0];
+}
+template <typename E>
+PositionList RowIdsOf(E& e, const ColumnHandle& h, KeyScalar lo, KeyScalar hi) {
+  return e.Execute(QuerySpec().Where(h, lo, hi).RowIds()).rowids;
+}
+
+/// ... and through one-predicate ExecuteQuery frames on a HolixClient
+/// (result kind 0 count, 1 sum, 3 project-sum of \p sum_col).
+template <typename C>
+KeyScalar WireQuery(C& c, uint64_t sid, const std::string& table,
+                    const std::string& col, KeyScalar lo, KeyScalar hi,
+                    uint8_t kind = 0, const std::string& sum_col = "") {
+  return c.ExecuteQuery(sid, table, {{col, lo, hi}}, {{kind, sum_col}})
+      .values[0];
+}
+template <typename C>
+uint64_t WireCount(C& c, uint64_t sid, const std::string& table,
+                   const std::string& col, KeyScalar lo, KeyScalar hi) {
+  return static_cast<uint64_t>(WireQuery(c, sid, table, col, lo, hi).i);
+}
+template <typename C>
+uint64_t AwaitCount(C& c, uint64_t request_id) {
+  return static_cast<uint64_t>(c.AwaitExecuteQuery(request_id).values[0].i);
 }
 
 }  // namespace test
