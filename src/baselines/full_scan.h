@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "storage/column.h"
@@ -17,23 +19,17 @@
 
 namespace holix {
 
-/// Counts values in [low, high) — or [low, high] when \p closed_high — by
-/// scanning \p data in parallel shards. The closed bound exists so callers
-/// can select up to max(T) inclusive, which the exclusive form cannot
-/// express without overflowing.
+/// Counts values in [low, high) — or in [low, Highest()] when \p high is
+/// missing (KeyRange) — by scanning \p data in parallel shards.
 template <typename T>
-size_t ParallelScanCount(const T* data, size_t n, T low, T high,
-                         ThreadPool& pool, size_t threads,
-                         bool closed_high = false) {
-  const auto hit = [low, high, closed_high](T v) {
-    return !KeyTraits<T>::Less(v, low) &&
-           (closed_high ? !KeyTraits<T>::Less(high, v)
-                        : KeyTraits<T>::Less(v, high));
-  };
+size_t ParallelScanCount(const T* data, size_t n, T low,
+                         std::type_identity_t<std::optional<T>> high,
+                         ThreadPool& pool, size_t threads) {
+  const KeyRange<T> range{low, high};
   threads = std::max<size_t>(1, std::min(threads, pool.size() + 1));
   if (threads <= 1 || n < (1u << 14)) {
     size_t count = 0;
-    for (size_t i = 0; i < n; ++i) count += hit(data[i]) ? 1 : 0;
+    for (size_t i = 0; i < n; ++i) count += range.Contains(data[i]) ? 1 : 0;
     return count;
   }
   std::vector<size_t> partial(threads, 0);
@@ -42,7 +38,7 @@ size_t ParallelScanCount(const T* data, size_t n, T low, T high,
     const size_t lo = std::min(n, t * chunk);
     const size_t hi = std::min(n, lo + chunk);
     size_t count = 0;
-    for (size_t i = lo; i < hi; ++i) count += hit(data[i]) ? 1 : 0;
+    for (size_t i = lo; i < hi; ++i) count += range.Contains(data[i]) ? 1 : 0;
     partial[t] = count;
   });
   size_t total = 0;
@@ -50,22 +46,18 @@ size_t ParallelScanCount(const T* data, size_t n, T low, T high,
   return total;
 }
 
-/// Materializes the positions of values in [low, high) — or [low, high]
-/// when \p closed_high — in row order.
+/// Materializes the positions of values in [low, high) — or in [low,
+/// Highest()] when \p high is missing — in row order.
 template <typename T>
-PositionList ParallelScanSelect(const T* data, size_t n, T low, T high,
-                                ThreadPool& pool, size_t threads,
-                                bool closed_high = false) {
-  const auto hit = [low, high, closed_high](T v) {
-    return !KeyTraits<T>::Less(v, low) &&
-           (closed_high ? !KeyTraits<T>::Less(high, v)
-                        : KeyTraits<T>::Less(v, high));
-  };
+PositionList ParallelScanSelect(const T* data, size_t n, T low,
+                                std::type_identity_t<std::optional<T>> high,
+                                ThreadPool& pool, size_t threads) {
+  const KeyRange<T> range{low, high};
   threads = std::max<size_t>(1, std::min(threads, pool.size() + 1));
   if (threads <= 1 || n < (1u << 14)) {
     PositionList out;
     for (size_t i = 0; i < n; ++i) {
-      if (hit(data[i])) out.push_back(i);
+      if (range.Contains(data[i])) out.push_back(i);
     }
     return out;
   }
@@ -76,7 +68,7 @@ PositionList ParallelScanSelect(const T* data, size_t n, T low, T high,
     const size_t hi = std::min(n, lo + chunk);
     PositionList& out = partial[t];
     for (size_t i = lo; i < hi; ++i) {
-      if (hit(data[i])) out.push_back(i);
+      if (range.Contains(data[i])) out.push_back(i);
     }
   });
   PositionList out;

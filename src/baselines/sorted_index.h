@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,38 +45,18 @@ class SortedIndex {
   /// Number of rows.
   size_t size() const { return entries_.size(); }
 
-  /// Positions (in sorted order) of values in [low, high): O(log N).
-  PositionRange SelectRange(T low, T high) const {
+  /// Positions (in sorted order) of values in [low, high), or in the
+  /// closed tail [low, Highest()] when \p high is missing: O(log N).
+  PositionRange SelectRange(T low, std::optional<T> high) const {
     const auto cmp = [](const Entry& e, T v) {
       return KeyTraits<T>::Less(e.value, v);
     };
     const auto b = std::lower_bound(entries_.begin(), entries_.end(), low, cmp);
-    const auto e = std::lower_bound(entries_.begin(), entries_.end(), high, cmp);
+    const auto e =
+        high ? std::lower_bound(entries_.begin(), entries_.end(), *high, cmp)
+             : entries_.end();
     return {static_cast<size_t>(b - entries_.begin()),
             static_cast<size_t>(e - entries_.begin())};
-  }
-
-  /// Count of values in [low, high).
-  size_t CountRange(T low, T high) const { return SelectRange(low, high).size(); }
-
-  /// Positions of values in the closed range [low, high]: the form that can
-  /// reach the total-order maximum, which the exclusive-high select cannot
-  /// express.
-  PositionRange SelectRangeClosed(T low, T high) const {
-    const auto cmp = [](const Entry& e, T v) {
-      return KeyTraits<T>::Less(e.value, v);
-    };
-    const auto b = std::lower_bound(entries_.begin(), entries_.end(), low, cmp);
-    const auto e = std::upper_bound(
-        entries_.begin(), entries_.end(), high,
-        [](T v, const Entry& en) { return KeyTraits<T>::Less(v, en.value); });
-    return {static_cast<size_t>(b - entries_.begin()),
-            static_cast<size_t>(e - entries_.begin())};
-  }
-
-  /// Count of values in the closed range [low, high].
-  size_t CountRangeClosed(T low, T high) const {
-    return SelectRangeClosed(low, high).size();
   }
 
   /// Value at sorted position \p pos.

@@ -133,11 +133,15 @@ class CrackerColumn {
   // ---------------------------------------------------------------------
 
   /// Range select: returns the contiguous positions whose values lie in
-  /// [low, high). Cracks at both bounds as a side effect; merges pending
+  /// [low, high), or in the closed tail [low, Highest()] when \p high is
+  /// missing (KeyRange) — the form that reaches max(T) or the double NaN
+  /// key. Cracks at each given bound as a side effect (the tail has no
+  /// high crack: its rows run to the end of the column); merges pending
   /// updates overlapping the range first (Ripple, [28]).
-  PositionRange SelectRange(T low, T high, const CrackConfig& cfg = {}) {
+  PositionRange SelectRange(T low, std::optional<T> high,
+                            const CrackConfig& cfg = {}) {
     stats_.accesses.fetch_add(1, std::memory_order_relaxed);
-    if (!KeyTraits<T>::Less(low, high)) return {0, 0};
+    if (high && !KeyTraits<T>::Less(low, *high)) return {0, 0};
     // Merge before the emptiness check: a column loaded empty can still
     // have pending inserts in range, and they must become visible here.
     MergePendingInRange(low, high);
@@ -147,45 +151,19 @@ class CrackerColumn {
     // Exact hit: both bounds already are boundaries -> no reorganization.
     {
       std::shared_lock<std::shared_mutex> lk(tree_mu_);
-      if (index_.HasBoundary(low) && index_.HasBoundary(high)) {
+      if (index_.HasBoundary(low) && (!high || index_.HasBoundary(*high))) {
         const size_t b = index_.FindPiece(low, size()).begin;
-        const size_t e = index_.FindPiece(high, size()).begin;
+        const size_t e = high ? index_.FindPiece(*high, size()).begin : size();
         stats_.exact_hits.fetch_add(1, std::memory_order_relaxed);
         return {b, e};
       }
     }
+    if (!high) return {CrackAtBlocking(low, cfg), size()};
     // Fast path: both bounds inside the same piece -> crack-in-three.
-    if (auto range = TryCrackInThree(low, high, cfg)) return *range;
+    if (auto range = TryCrackInThree(low, *high, cfg)) return *range;
     const size_t b = CrackAtBlocking(low, cfg);
-    const size_t e = CrackAtBlocking(high, cfg);
+    const size_t e = CrackAtBlocking(*high, cfg);
     return {b, e};
-  }
-
-  /// Range select over the closed interval [low, high]: the form that can
-  /// reach the total-order maximum (max(T) for integers, the NaN key for
-  /// doubles), which SelectRange's exclusive high cannot express. Away from
-  /// the order's top this is exactly SelectRange(low, Next(high)); at
-  /// high == Highest() it cracks the low bound only and the qualifying
-  /// rows run to the end of the column.
-  PositionRange SelectRangeClosed(T low, T high, const CrackConfig& cfg = {}) {
-    if (!KeyTraits<T>::IsHighest(high)) {
-      return SelectRange(low, KeyTraits<T>::Next(high), cfg);
-    }
-    stats_.accesses.fetch_add(1, std::memory_order_relaxed);
-    if (KeyTraits<T>::Less(high, low)) return {0, 0};
-    MergePendingAtLeast(low);
-    if (size() == 0) return {0, 0};
-    ReadGuard column_guard(column_latch_);
-    {
-      std::shared_lock<std::shared_mutex> lk(tree_mu_);
-      if (index_.HasBoundary(low)) {
-        const size_t b = index_.FindPiece(low, size()).begin;
-        stats_.exact_hits.fetch_add(1, std::memory_order_relaxed);
-        return {b, size()};
-      }
-    }
-    const size_t b = CrackAtBlocking(low, cfg);
-    return {b, size()};
   }
 
   /// Cracks at a single bound (blocking); returns the first position whose
@@ -358,9 +336,10 @@ class CrackerColumn {
   // Updates (Ripple, [28])
   // ---------------------------------------------------------------------
 
-  /// Merges every pending insert/delete whose value lies in [low, high)
-  /// into the cracker column without invalidating any boundary.
-  void MergePendingInRange(T low, T high) {
+  /// Merges every pending insert/delete whose value lies in [low, high) —
+  /// or in [low, Highest()] when \p high is missing — into the cracker
+  /// column without invalidating any boundary.
+  void MergePendingInRange(T low, std::optional<T> high) {
     // Cheap peek outside the column latch: long-lived out-of-range
     // entries must not force every select onto the exclusive path.
     if (!pending_.AnyInRange(low, high)) return;
@@ -372,16 +351,6 @@ class CrackerColumn {
     std::unique_lock<std::shared_mutex> lk(tree_mu_);
     ApplyTakenLocked(pending_.TakeInsertsInRange(low, high),
                      pending_.TakeDeletesInRange(low, high));
-  }
-
-  /// Merges every pending insert/delete whose value is >= \p low (the
-  /// closed tail [low, max(T)] that MergePendingInRange cannot express).
-  void MergePendingAtLeast(T low) {
-    if (!pending_.AnyAtLeast(low)) return;
-    WriteGuard column_guard(column_latch_);
-    std::unique_lock<std::shared_mutex> lk(tree_mu_);
-    ApplyTakenLocked(pending_.TakeInsertsAtLeast(low),
-                     pending_.TakeDeletesAtLeast(low));
   }
 
   /// Warm-restore primitive: rebuilds a column that has no boundaries
@@ -411,8 +380,10 @@ class CrackerColumn {
       throw std::logic_error(
           "RestorePieces requires a column without boundaries or payloads");
     }
-    const auto ins = pending_.TakeInsertsAtLeast(KeyTraits<T>::Lowest());
-    const auto del = pending_.TakeDeletesAtLeast(KeyTraits<T>::Lowest());
+    const auto ins =
+        pending_.TakeInsertsInRange(KeyTraits<T>::Lowest(), std::nullopt);
+    const auto del =
+        pending_.TakeDeletesInRange(KeyTraits<T>::Lowest(), std::nullopt);
     std::vector<T> ins_values(ins.size());
     std::vector<RowId> ins_rowids(ins.size());
     for (size_t i = 0; i < ins.size(); ++i) {
@@ -447,28 +418,25 @@ class CrackerColumn {
     CountMerged(ins.size(), del.size());
   }
 
-  /// Piece-resolution cardinality estimate for [low, high) — or
-  /// [low, high] with \p closed_high — used by the multi-predicate planner
+  /// Piece-resolution cardinality estimate for [low, high) — or the closed
+  /// tail when \p high is missing — used by the multi-predicate planner
   /// to order conjuncts by selectivity. Never cracks and never merges
   /// pending updates: it reads the existing boundary tree only, returning
   /// the span from the start of the piece containing \p low to the end of
   /// the piece containing \p high (an upper bound that tightens as the
   /// index refines; exact once both bounds are boundaries).
-  size_t EstimateRange(T low, T high, bool closed_high = false) const {
+  size_t EstimateRange(T low, std::optional<T> high) const {
     ReadGuard column_guard(column_latch_);
     std::shared_lock<std::shared_mutex> lk(tree_mu_);
     const size_t n = size();
     if (n == 0) return 0;
-    const PieceRef<T> lo_piece = index_.FindPiece(low, n);
-    const size_t begin = lo_piece.begin;
-    size_t end;
-    if (closed_high && KeyTraits<T>::IsHighest(high)) {
-      end = n;  // the closed tail runs to the end of the column
-    } else {
-      const PieceRef<T> hi_piece = index_.FindPiece(high, n);
+    const size_t begin = index_.FindPiece(low, n).begin;
+    size_t end = n;  // the closed tail runs to the end of the column
+    if (high) {
+      const PieceRef<T> hi_piece = index_.FindPiece(*high, n);
       // An exact boundary at the exclusive high makes the estimate exact
-      // on that side; a closed high may extend into the next piece.
-      end = (hi_piece.exact && !closed_high) ? hi_piece.begin : hi_piece.end;
+      // on that side.
+      end = hi_piece.exact ? hi_piece.begin : hi_piece.end;
     }
     return end > begin ? end - begin : 0;
   }
@@ -799,15 +767,9 @@ class CrackerColumn {
       lo_v = piece.lo_value;
       hi_v = piece.hi_value;
     }
-    const T low = lo_v.value_or(KeyTraits<T>::Lowest());
-    if (hi_v.has_value()) {
-      MergePendingInRange(low, *hi_v);
-    } else {
-      // Tail piece: the closed tail [low, Highest()] — an exclusive high
-      // cannot express the order's top, and an approximation would leave a
-      // pending row holding exactly the maximum key unmerged.
-      MergePendingAtLeast(low);
-    }
+    // The tail piece has no hi_v: its merge takes the closed tail, so a
+    // pending row holding exactly the maximum key is merged too.
+    MergePendingInRange(lo_v.value_or(KeyTraits<T>::Lowest()), hi_v);
   }
 
   /// Ripple-inserts (v, rid), keeping every boundary valid. The caller

@@ -244,7 +244,7 @@ DurableDatabaseState Database::ExportDurableState(
         // Drain the queues into the cracker first, so the appended /
         // deleted-base registries carry the column's full update history
         // and recovery has nothing queue-shaped to reconstruct.
-        cracker->MergePendingAtLeast(KT::Lowest());
+        cracker->MergePendingInRange(KT::Lowest(), std::nullopt);
         cs.has_cracker = true;
         for (const auto& [rid, v] : cracker->pending().AppendedEntries()) {
           cs.appended.emplace_back(rid, KT::ToRank(v));

@@ -103,14 +103,14 @@ class Database {
   //
   // Every read is one QuerySpec (query_spec.h): a conjunction of 1..N range
   // predicates plus the requested results. One predicate with one result
-  // runs the mode's native operator; a conjunction is planned (most
-  // selective predicate first, estimated from cracker piece boundaries;
-  // sorted-positional merge or base-column probes for the rest — every
-  // touched predicate column cracks as a side effect in the adaptive
-  // modes). Bounds and update values are tagged int64-or-double KeyScalars,
+  // is answered straight from the mode's access path; a conjunction is
+  // planned (most selective predicate first, estimated from cracker piece
+  // boundaries; sorted-positional merge or base-column probes for the rest
+  // — every touched predicate column cracks as a side effect in the
+  // adaptive modes). Bounds and update values are tagged int64-or-double KeyScalars,
   // exactly what the wire protocol carries; they clamp exactly into any
   // column's domain, and an exclusive high at the type's total-order top
-  // (max(T), or the double NaN key) degrades to the closed bound.
+  // (max(T), or the double NaN key) becomes the closed tail.
 
   QueryResult Execute(const QuerySpec& spec, const QueryContext& qctx = {});
 
@@ -119,9 +119,9 @@ class Database {
                      const QueryContext& qctx = {});
 
   /// Pending-queue delete of one row holding \p value. Resolves the row via
-  /// the closed unit select [value, value], so any representable value —
-  /// including the element type's maximum — is deletable. \return true when
-  /// a matching row was found.
+  /// the unit select of \p value (the closed tail at the type's top), so
+  /// any representable value — including the element type's maximum — is
+  /// deletable. \return true when a matching row was found.
   bool DeleteScalar(const ColumnHandle& column, KeyScalar value,
                     const QueryContext& qctx = {});
 

@@ -40,22 +40,6 @@ double DoubleAtLeast(int64_t v) {
   return d;
 }
 
-/// Query bounds arrive as KeyScalars at the facade; the typed path clamps
-/// them into the column type's domain. When the (exclusive) high cannot be
-/// expressed inside the type — an int64 high beyond max(T), or the double
-/// NaN key, which is the double order's maximum — the range degrades to
-/// the *closed* bound [lo, Highest]: every value of the type up to and
-/// including the order's top satisfies the original predicate, and the
-/// typed select machinery runs its closed-bound primitive, so a row
-/// holding exactly max(T) (or the NaN key) stays selectable.
-template <typename T>
-struct Bounds {
-  T lo{};
-  T hi{};
-  bool empty = false;
-  bool closed_high = false;  ///< Select [lo, hi] instead of [lo, hi).
-};
-
 /// Smallest key of integer type T that is >= the scalar bound \p lo
 /// (exact for both carriers); nullopt when the bound sits above all of T.
 template <typename T>
@@ -79,8 +63,8 @@ std::optional<T> IntFirstAtLeast(KeyScalar lo) {
 
 /// Largest key of integer type T that is < the scalar bound \p hi (exact
 /// for both carriers; a bound above T's range — including the double NaN
-/// key — degrades to max(T), the closed-bound upgrade); nullopt when the
-/// bound sits at or below all of T.
+/// key — yields max(T), so the range becomes the closed tail); nullopt
+/// when the bound sits at or below all of T.
 template <typename T>
 std::optional<T> IntLastBelow(KeyScalar hi) {
   constexpr T tmin = std::numeric_limits<T>::min();
@@ -115,33 +99,28 @@ double DoubleBound(KeyScalar s) {
   return s.is_f64() ? KeyTraits<double>::Canonical(s.d) : DoubleAtLeast(s.i);
 }
 
-/// Clamps a KeyScalar bound pair into column type T's domain. Each bound
-/// converts independently with exact semantics (mixed carriers included),
-/// and an exclusive high that cannot be expressed inside T — above max(T),
-/// or the double NaN key — degrades to the closed form.
+/// Clamps a KeyScalar bound pair into column type T's domain as one
+/// KeyRange; nullopt when no key of T satisfies the predicate. Each bound
+/// converts independently with exact semantics (mixed carriers included).
+/// An exclusive high that cannot be expressed inside T — above max(T), or
+/// the double NaN key — becomes the closed tail (no `hi`), so a row holding
+/// exactly max(T) or the NaN key stays selectable.
 template <typename T>
-Bounds<T> ClampBounds(KeyScalar lo, KeyScalar hi) {
+std::optional<KeyRange<T>> ClampBounds(KeyScalar lo, KeyScalar hi) {
+  using KT = KeyTraits<T>;
   if constexpr (std::is_same_v<T, double>) {
-    using KT = KeyTraits<double>;
     const double lo_d = DoubleBound(lo);
     const double hi_d = DoubleBound(hi);
-    if (KT::IsHighest(hi_d)) {
-      // Exclusive high at the order's top: degrade to the closed tail,
-      // mirroring the integer facade at max(T). [NaN, NaN] therefore
-      // selects exactly the rows holding the NaN key.
-      return {KT::IsHighest(lo_d) ? KT::Highest() : lo_d, KT::Highest(),
-              false, true};
-    }
-    if (!KT::Less(lo_d, hi_d)) return {0.0, 0.0, true, false};
-    return {lo_d, hi_d, false, false};
+    // [NaN, NaN) therefore selects exactly the rows holding the NaN key.
+    if (KT::IsHighest(hi_d)) return KeyRange<T>{lo_d, std::nullopt};
+    if (!KT::Less(lo_d, hi_d)) return std::nullopt;
+    return KeyRange<T>{lo_d, hi_d};
   } else {
     const std::optional<T> lo_t = IntFirstAtLeast<T>(lo);
-    const std::optional<T> hi_t = IntLastBelow<T>(hi);
-    if (!lo_t || !hi_t || *lo_t > *hi_t) return {T{}, T{}, true, false};
-    // Integer clamps always use the closed form [lo_t, hi_t]; away from
-    // max(T) the select machinery turns it straight back into the
-    // identical half-open [lo_t, hi_t + 1).
-    return {*lo_t, *hi_t, false, true};
+    const std::optional<T> last = IntLastBelow<T>(hi);
+    if (!lo_t || !last || *lo_t > *last) return std::nullopt;
+    if (KT::IsHighest(*last)) return KeyRange<T>{*lo_t, std::nullopt};
+    return KeyRange<T>{*lo_t, KT::Next(*last)};
   }
 }
 
@@ -186,17 +165,32 @@ StoreState ToStoreState(ConfigKind kind) {
   return StoreState::kUnregistered;
 }
 
+
+/// What one index access answers a key range with: positions in a cracker
+/// column (the pointer keeps the column alive while the answer is read),
+/// positions in a sorted index, or — neither set — "scan the base column".
+template <typename T>
+struct Hit {
+  std::shared_ptr<CrackerColumn<T>> cracker;
+  std::shared_ptr<SortedIndex<T>> sorted;
+  PositionRange range;
+};
+
 // ---------------------------------------------------------------------------
-// Shared plumbing
+// Shared plumbing: validation, planning, and the one visitor that turns a
+// Hit into results. Mode supplies the access path as a non-virtual member
+//   template <typename T>
+//   Hit<T> Access(ColumnEntry&, const KeyRange<T>&, const QueryContext&);
 // ---------------------------------------------------------------------------
 
+template <typename Mode>
 class ExecutorBase : public QueryExecutor {
  public:
   explicit ExecutorBase(const EngineContext& ctx) : ctx_(ctx) {}
 
-  /// The declarative entry point: validate, then either dispatch the
-  /// one-predicate/one-result shape onto the mode-native operator,
-  /// or plan and execute the conjunction (see query_executor.h).
+  /// The declarative entry point: validate, then either answer the
+  /// one-predicate/one-result shape straight from its access, or plan and
+  /// execute the conjunction (see query_executor.h).
   QueryResult Execute(const QuerySpec& spec, const QueryContext& qctx) override {
     if (spec.predicates.empty()) {
       throw std::invalid_argument("QuerySpec: empty conjunction");
@@ -234,15 +228,16 @@ class ExecutorBase : public QueryExecutor {
   }
 
  protected:
+  Mode& self() { return static_cast<Mode&>(*this); }
+
   QueryResult ExecuteValidated(const QuerySpec& spec,
                                const QueryContext& qctx) {
     if (spec.predicates.size() == 1 && spec.results.size() == 1) {
-      return ExecuteSingle(spec, qctx);
+      return ExecuteSingle(spec.predicates[0], spec.results[0], qctx);
     }
     PositionList rows;
     if (spec.predicates.size() == 1) {
-      const RangePredicate& p = spec.predicates[0];
-      rows = SelectRowIds(p.column, p.low, p.high, qctx);
+      rows = PredicateRowIds(spec.predicates[0], qctx);
       std::sort(rows.begin(), rows.end());
     } else {
       rows = SelectConjunction(spec, qctx);  // already ascending
@@ -257,62 +252,155 @@ class ExecutorBase : public QueryExecutor {
     return MaterializeResults(spec, std::move(rows));
   }
 
-  // --- The mode-native one-predicate operators (§3.1 shapes) -------------
-  //
-  // Execute dispatches a one-predicate/one-result spec straight onto these;
-  // planned conjunctions drive SelectRowIds. Bounds clamp into the column
-  // type's total order (query_executor.h).
-
-  /// select count(*) where low <= column < high.
-  virtual size_t CountRange(const ColumnHandle& column, KeyScalar low,
-                            KeyScalar high, const QueryContext& qctx) = 0;
-
-  /// select sum(column) where low <= column < high. The result carrier
-  /// follows the column type: int64 for integer columns, double for double
-  /// columns (a sum over rows holding the NaN key is NaN).
-  virtual KeyScalar SumRange(const ColumnHandle& column, KeyScalar low,
-                             KeyScalar high, const QueryContext& qctx) = 0;
-
-  /// Materializes qualifying rowids in the mode's native order.
-  virtual PositionList SelectRowIds(const ColumnHandle& column, KeyScalar low,
-                                    KeyScalar high,
-                                    const QueryContext& qctx) = 0;
-
-  /// select sum(project) where low <= where < high (late reconstruction);
-  /// the carrier follows the PROJECT column's type. Default: materialize
-  /// rowids via the mode's select, then sum positionally in that order.
-  virtual KeyScalar ProjectSum(const ColumnHandle& where_column,
-                               const ColumnHandle& project_column,
-                               KeyScalar low, KeyScalar high,
-                               const QueryContext& qctx) {
-    ColumnEntry& pe = Entry(project_column);
-    CheckSameTable(Entry(where_column), pe);
-    return PositionalSum(pe, SelectRowIds(where_column, low, high, qctx));
+  /// The one type dispatch of a predicate: calls fn with its bounds clamped
+  /// into the column's type (nullopt when no key of the type qualifies).
+  template <typename Fn>
+  static decltype(auto) WithRange(ColumnEntry& e, const RangePredicate& p,
+                                  Fn&& fn) {
+    return DispatchIndexableType(e.type(), [&](auto tag) -> decltype(auto) {
+      using T = typename decltype(tag)::type;
+      return fn(ClampBounds<T>(p.low, p.high));
+    });
   }
 
-  /// Sums column \p pe over \p rows in the order given, positionally
-  /// through the base column; rowids past the base resolve through the
-  /// pending registry, and a row never inserted into this attribute (e.g.
-  /// appended on the WHERE column only) adds nothing. The row order is the
-  /// summation order, so it fixes the bits of a double sum.
-  KeyScalar PositionalSum(ColumnEntry& pe, const PositionList& rows) const {
+  /// The one-predicate/one-result shape (§3.1): one access, one result.
+  QueryResult ExecuteSingle(const RangePredicate& p, const ResultSpec& r,
+                            const QueryContext& qctx) {
+    ColumnEntry& e = Entry(p.column);
+    return WithRange(e, p, [&]<typename T>(
+                               const std::optional<KeyRange<T>>& range) {
+      QueryResult out;
+      const bool sum = r.kind == ResultRequest::kSum ||
+                       r.kind == ResultRequest::kProjectSum;
+      if (!range) {
+        // Nothing to access: zero in the result's carrier.
+        out.values.push_back(sum ? PositionalSum(Entry(r.column), [](auto&&) {})
+                                 : KeyScalar::I64(0));
+        return out;
+      }
+      const Hit<T> hit = self().Access(e, *range, qctx);
+      if (sum) {
+        // Summing the predicate column itself reads the hit's own values
+        // (cracked modes aggregate in place, pending inserts included); any
+        // other column is §3.1 late reconstruction.
+        out.values.push_back(
+            r.column.entry() == &e
+                ? Sum(e, *range, hit)
+                : ProjectedSum(Entry(r.column), e, *range, hit));
+      } else if (r.kind == ResultRequest::kCount) {
+        out.values.push_back(
+            KeyScalar::I64(static_cast<int64_t>(Count(e, *range, hit))));
+      } else {
+        out.rowids = RowIds(e, *range, hit);
+        out.values.push_back(
+            KeyScalar::I64(static_cast<int64_t>(out.rowids.size())));
+      }
+      return out;
+    });
+  }
+
+  /// Qualifying rowids of one predicate, in the mode's native order.
+  PositionList PredicateRowIds(const RangePredicate& p,
+                               const QueryContext& qctx) {
+    ColumnEntry& e = Entry(p.column);
+    return WithRange(e, p, [&]<typename T>(
+                               const std::optional<KeyRange<T>>& range)
+                               -> PositionList {
+      if (!range) return {};
+      return RowIds(e, *range, self().Access(e, *range, qctx));
+    });
+  }
+
+  // --- The Hit visitor ----------------------------------------------------
+
+  template <typename T>
+  size_t Count(ColumnEntry& e, const KeyRange<T>& r, const Hit<T>& hit) const {
+    if (hit.cracker || hit.sorted) return hit.range.size();
+    const Column<T>& base = *e.runtime<T>().base;
+    return ParallelScanCount(base.data(), base.size(), r.lo, r.hi,
+                             *ctx_.query_pool, ctx_.options->user_threads);
+  }
+
+  template <typename T>
+  PositionList RowIds(ColumnEntry& e, const KeyRange<T>& r,
+                      const Hit<T>& hit) const {
+    if (hit.cracker) return hit.cracker->FetchRowIds(hit.range);
+    if (hit.sorted) return hit.sorted->FetchRowIds(hit.range);
+    const Column<T>& base = *e.runtime<T>().base;
+    return ParallelScanSelect(base.data(), base.size(), r.lo, r.hi,
+                              *ctx_.query_pool, ctx_.options->user_threads);
+  }
+
+  /// Calls fn(value, rowid) for every qualifying row in the hit's native
+  /// order: cracker order, sorted order or base order. Every sum over a hit
+  /// adds in this order, so it fixes the bits of a double sum.
+  template <typename T, typename Fn>
+  static void ForEachRow(ColumnEntry& e, const KeyRange<T>& r,
+                         const Hit<T>& hit, Fn&& fn) {
+    if (hit.cracker) {
+      hit.cracker->ScanRange(hit.range, fn);  // under piece read latches
+    } else if (hit.sorted) {
+      for (size_t i = hit.range.begin; i < hit.range.end; ++i) {
+        fn(hit.sorted->ValueAt(i), hit.sorted->RowIdAt(i));
+      }
+    } else {
+      const Column<T>& base = *e.runtime<T>().base;
+      const T* data = base.data();
+      for (size_t i = 0; i < base.size(); ++i) {
+        if (r.Contains(data[i])) fn(data[i], static_cast<RowId>(i));
+      }
+    }
+  }
+
+  /// select sum(column) over the hit. The result carrier follows the column
+  /// type: int64 for integer columns, double for double columns (a sum over
+  /// rows holding the NaN key is NaN).
+  template <typename T>
+  KeyScalar Sum(ColumnEntry& e, const KeyRange<T>& r, const Hit<T>& hit) const {
+    typename KeyTraits<T>::Sum sum = 0;
+    ForEachRow(e, r, hit, [&](T v, RowId) {
+      sum += static_cast<typename KeyTraits<T>::Sum>(v);
+    });
+    return WrapSum<T>(sum);
+  }
+
+  /// select sum(project) over the hit (late reconstruction): the rowids are
+  /// visited in native order without being materialized.
+  template <typename T>
+  KeyScalar ProjectedSum(ColumnEntry& pe, ColumnEntry& e,
+                         const KeyRange<T>& r, const Hit<T>& hit) const {
+    return PositionalSum(pe, [&](auto&& add) {
+      ForEachRow(e, r, hit, [&](T, RowId rid) { add(rid); });
+    });
+  }
+
+  /// Sums column \p pe positionally over the rowids \p for_each_rowid feeds
+  /// its callback, in that order (the order fixes the bits of a double
+  /// sum). Rowids past the base resolve through the pending registry, and
+  /// a row never inserted into this attribute (e.g. appended on the WHERE
+  /// column only) adds nothing. The carrier follows pe's type.
+  template <typename ForEachRowId>
+  KeyScalar PositionalSum(ColumnEntry& pe,
+                          ForEachRowId&& for_each_rowid) const {
     return DispatchIndexableType(pe.type(), [&](auto tag) -> KeyScalar {
       using P = typename decltype(tag)::type;
       const Column<P>& proj = *pe.runtime<P>().base;
       const size_t n = proj.size();
       typename KeyTraits<P>::Sum sum = 0;
-      for (RowId rid : rows) {
+      for_each_rowid([&](RowId rid) {
         P v{};
         if (rid < n) {
           v = proj[rid];
         } else if (!AppendedValueFor<P>(pe, rid, &v)) {
-          continue;
+          return;
         }
         sum += static_cast<typename KeyTraits<P>::Sum>(v);
-      }
+      });
       return WrapSum<P>(sum);
     });
   }
+
+  // --- Entries and index structures ---------------------------------------
 
   /// Validates the handle and returns its entry: null handles are caller
   /// bugs, dropped entries mean the table is gone (base data freed).
@@ -325,14 +413,6 @@ class ExecutorBase : public QueryExecutor {
       throw std::logic_error("column was dropped: " + e->key());
     }
     return *e;
-  }
-
-  /// Number of rows in the entry's loaded base column.
-  static size_t BaseRows(ColumnEntry& e) {
-    return DispatchIndexableType(e.type(), [&](auto tag) -> size_t {
-      using T = typename decltype(tag)::type;
-      return e.runtime<T>().base->size();
-    });
   }
 
   /// Value of row \p rid in \p e when the rowid lies beyond the loaded base
@@ -364,55 +444,12 @@ class ExecutorBase : public QueryExecutor {
     return fresh;
   }
 
-  /// Sorted-index range of \p b (closed or half-open high).
+  /// The sorted-index hit of \p r, building the index on first use.
   template <typename T>
-  static PositionRange SortedSelect(const SortedIndex<T>& sorted,
-                                    const Bounds<T>& b) {
-    return b.closed_high ? sorted.SelectRangeClosed(b.lo, b.hi)
-                         : sorted.SelectRange(b.lo, b.hi);
-  }
-
-  template <typename T>
-  typename KeyTraits<T>::Sum SortedSum(const SortedIndex<T>& sorted,
-                                       const Bounds<T>& b) const {
-    const PositionRange r = SortedSelect(sorted, b);
-    typename KeyTraits<T>::Sum sum = 0;
-    for (size_t i = r.begin; i < r.end; ++i) {
-      sum += static_cast<typename KeyTraits<T>::Sum>(sorted.ValueAt(i));
-    }
-    return sum;
-  }
-
-  template <typename T>
-  size_t ScanCount(ColumnEntry& e, const Bounds<T>& b) const {
-    const Column<T>& base = *e.runtime<T>().base;
-    return ParallelScanCount(base.data(), base.size(), b.lo, b.hi,
-                             *ctx_.query_pool, ctx_.options->user_threads,
-                             b.closed_high);
-  }
-
-  template <typename T>
-  typename KeyTraits<T>::Sum ScanSum(ColumnEntry& e,
-                                     const Bounds<T>& b) const {
-    const Column<T>& base = *e.runtime<T>().base;
-    const T* data = base.data();
-    typename KeyTraits<T>::Sum sum = 0;
-    for (size_t i = 0; i < base.size(); ++i) {
-      const bool hit =
-          !KeyTraits<T>::Less(data[i], b.lo) &&
-          (b.closed_high ? !KeyTraits<T>::Less(b.hi, data[i])
-                         : KeyTraits<T>::Less(data[i], b.hi));
-      if (hit) sum += static_cast<typename KeyTraits<T>::Sum>(data[i]);
-    }
-    return sum;
-  }
-
-  template <typename T>
-  PositionList ScanSelect(ColumnEntry& e, const Bounds<T>& b) const {
-    const Column<T>& base = *e.runtime<T>().base;
-    return ParallelScanSelect(base.data(), base.size(), b.lo, b.hi,
-                              *ctx_.query_pool, ctx_.options->user_threads,
-                              b.closed_high);
+  Hit<T> SortedAccess(ColumnEntry& e, const KeyRange<T>& r) {
+    auto sorted = EnsureSorted<T>(e);
+    const PositionRange range = sorted->SelectRange(r.lo, r.hi);
+    return {nullptr, std::move(sorted), range};
   }
 
   // --- Multi-predicate planning ------------------------------------------
@@ -434,14 +471,13 @@ class ExecutorBase : public QueryExecutor {
     std::vector<Ranked> order;
     order.reserve(spec.predicates.size());
     for (const RangePredicate& p : spec.predicates) {
-      order.push_back({&p, EstimatePredicate(Entry(p.column), p.low, p.high)});
+      order.push_back({&p, EstimatePredicate(p)});
     }
     std::stable_sort(order.begin(), order.end(),
                      [](const Ranked& a, const Ranked& b) {
                        return a.est < b.est;
                      });
-    PositionList cand = SelectRowIds(order[0].pred->column, order[0].pred->low,
-                                     order[0].pred->high, qctx);
+    PositionList cand = PredicateRowIds(*order[0].pred, qctx);
     std::sort(cand.begin(), cand.end());
     for (size_t i = 1; i < order.size() && !cand.empty(); ++i) {
       const RangePredicate& p = *order[i].pred;
@@ -456,7 +492,7 @@ class ExecutorBase : public QueryExecutor {
       if (order[i].est >= kProbeFactor * cand.size() && ProbeSafe(e)) {
         // Low-selectivity conjunct: probing the base value of each
         // surviving candidate is cheaper than materializing its huge
-        // qualifying set. The index still refines (RefineHint) so the
+        // qualifying set. The access still runs (the refine hint), so the
         // attribute keeps converging in the adaptive modes.
         probes.Inc();
         hints.Inc();
@@ -464,12 +500,11 @@ class ExecutorBase : public QueryExecutor {
           ++trace->probe_filters;
           ++trace->refine_hints;
         }
-        RefineHint(e, p.low, p.high, qctx);
-        FilterByBaseProbe(e, p.low, p.high, &cand);
+        FilterByBaseProbe(e, p, &cand, qctx);
       } else {
         merges.Inc();
         if (trace != nullptr) ++trace->merge_intersects;
-        PositionList other = SelectRowIds(p.column, p.low, p.high, qctx);
+        PositionList other = PredicateRowIds(p, qctx);
         std::sort(other.begin(), other.end());
         cand = SortedIntersect(cand, other);
       }
@@ -480,17 +515,18 @@ class ExecutorBase : public QueryExecutor {
   /// Cardinality estimate of one conjunct: cracker piece boundaries when
   /// an adaptive index exists, sorted-index binary search when one is
   /// built, column [min, max] rank interpolation otherwise.
-  size_t EstimatePredicate(ColumnEntry& e, KeyScalar lo, KeyScalar hi) {
-    return DispatchIndexableType(e.type(), [&](auto tag) -> size_t {
-      using T = typename decltype(tag)::type;
-      const Bounds<T> b = ClampBounds<T>(lo, hi);
-      if (b.empty) return 0;
+  size_t EstimatePredicate(const RangePredicate& p) {
+    ColumnEntry& e = Entry(p.column);
+    return WithRange(e, p, [&]<typename T>(
+                               const std::optional<KeyRange<T>>& range)
+                               -> size_t {
+      if (!range) return 0;
       auto& rt = e.runtime<T>();
       if (auto c = rt.cracker.load(std::memory_order_acquire)) {
-        return c->EstimateRange(b.lo, b.hi, b.closed_high);
+        return c->EstimateRange(range->lo, range->hi);
       }
       if (auto s = rt.sorted.load(std::memory_order_acquire)) {
-        return SortedSelect(*s, b).size();
+        return s->SelectRange(range->lo, range->hi).size();
       }
       const size_t n = rt.base->size();
       if (n == 0) return 0;
@@ -503,11 +539,11 @@ class ExecutorBase : public QueryExecutor {
       const double rank_max = static_cast<double>(KT::ToRank(rt.domain_max));
       const double span = rank_max - rank_min + 1.0;
       const double lo_r =
-          std::max(static_cast<double>(KT::ToRank(b.lo)), rank_min);
+          std::max(static_cast<double>(KT::ToRank(range->lo)), rank_min);
       const double hi_r =
-          std::min(static_cast<double>(KT::ToRank(b.hi)) +
-                       (b.closed_high ? 1.0 : 0.0),
-                   rank_max + 1.0);
+          range->hi ? std::min(static_cast<double>(KT::ToRank(*range->hi)),
+                               rank_max + 1.0)
+                    : rank_max + 1.0;
       if (hi_r <= lo_r) return 0;
       const double est = static_cast<double>(n) * (hi_r - lo_r) / span;
       return est >= static_cast<double>(n) ? n : static_cast<size_t>(est);
@@ -550,21 +586,23 @@ class ExecutorBase : public QueryExecutor {
     });
   }
 
-  /// Drops every candidate whose value in this attribute misses [lo, hi).
-  /// Rowids beyond the base column (rows appended by Insert) resolve
-  /// through the pending registry — a row inserted into this attribute
-  /// qualifies on its inserted value, matching the merge path, which finds
-  /// it through the column's adaptive index; a row never inserted here has
-  /// no value and is dropped.
-  void FilterByBaseProbe(ColumnEntry& e, KeyScalar lo, KeyScalar hi,
-                         PositionList* cand) {
-    DispatchIndexableType(e.type(), [&](auto tag) {
-      using T = typename decltype(tag)::type;
-      const Bounds<T> b = ClampBounds<T>(lo, hi);
-      if (b.empty) {
+  /// Drops every candidate whose value in this attribute misses the
+  /// predicate. The conjunct's access still runs and its hit is discarded:
+  /// that is the refine hint, which cracks the attribute at the query
+  /// bounds (or advances the online window) so repeated multi-predicate
+  /// queries converge on every predicate column. Rowids beyond the base
+  /// column (rows appended by Insert) resolve through the pending registry
+  /// — a row inserted into this attribute qualifies on its inserted value,
+  /// matching the merge path, which finds it through the column's adaptive
+  /// index; a row never inserted here has no value and is dropped.
+  void FilterByBaseProbe(ColumnEntry& e, const RangePredicate& p,
+                         PositionList* cand, const QueryContext& qctx) {
+    WithRange(e, p, [&]<typename T>(const std::optional<KeyRange<T>>& range) {
+      if (!range) {
         cand->clear();
         return;
       }
+      self().Access(e, *range, qctx);
       const Column<T>& base = *e.runtime<T>().base;
       const T* data = base.data();
       const size_t n = base.size();
@@ -576,49 +614,10 @@ class ExecutorBase : public QueryExecutor {
         } else if (!AppendedValueFor<T>(e, rid, &v)) {
           continue;
         }
-        const bool hit =
-            !KeyTraits<T>::Less(v, b.lo) &&
-            (b.closed_high ? !KeyTraits<T>::Less(b.hi, v)
-                           : KeyTraits<T>::Less(v, b.hi));
-        if (hit) (*cand)[keep++] = rid;
+        if (range->Contains(v)) (*cand)[keep++] = rid;
       }
       cand->resize(keep);
     });
-  }
-
-  /// Index-refinement side effect for a conjunct answered by base probes:
-  /// no-op for the scan/sorted strategies; the cracking strategies crack
-  /// the attribute at the query bounds without materializing anything.
-  virtual void RefineHint(ColumnEntry&, KeyScalar, KeyScalar,
-                          const QueryContext&) {}
-
-  /// The one-predicate/one-result shape: the mode-native operator.
-  QueryResult ExecuteSingle(const QuerySpec& spec, const QueryContext& qctx) {
-    const RangePredicate& p = spec.predicates[0];
-    const ResultSpec& r = spec.results[0];
-    QueryResult out;
-    switch (r.kind) {
-      case ResultRequest::kCount:
-        out.values.push_back(KeyScalar::I64(static_cast<int64_t>(
-            CountRange(p.column, p.low, p.high, qctx))));
-        break;
-      case ResultRequest::kSum:
-      case ResultRequest::kProjectSum:
-        // Summing the predicate column itself is the mode's SumRange fast
-        // path (cracked modes aggregate in place, pending inserts
-        // included); any other column is §3.1 late reconstruction.
-        out.values.push_back(
-            r.column.entry() == p.column.entry()
-                ? SumRange(p.column, p.low, p.high, qctx)
-                : ProjectSum(p.column, r.column, p.low, p.high, qctx));
-        break;
-      case ResultRequest::kRowIds:
-        out.rowids = SelectRowIds(p.column, p.low, p.high, qctx);
-        out.values.push_back(
-            KeyScalar::I64(static_cast<int64_t>(out.rowids.size())));
-        break;
-    }
-    return out;
   }
 
   /// Computes every requested result from the (ascending) qualifying row
@@ -644,22 +643,14 @@ class ExecutorBase : public QueryExecutor {
           break;
         case ResultRequest::kSum:
         case ResultRequest::kProjectSum:
-          out.values.push_back(PositionalSum(Entry(r.column), rows));
+          out.values.push_back(PositionalSum(Entry(r.column), [&](auto&& add) {
+            for (RowId rid : rows) add(rid);
+          }));
           break;
       }
     }
     if (want_rowids) out.rowids = std::move(rows);
     return out;
-  }
-
-  /// Sorts every registered attribute (offline indexing's investment).
-  void SortAllColumns() {
-    ctx_.registry->ForEach([this](ColumnEntry& e) {
-      DispatchIndexableType(e.type(), [&](auto tag) {
-        using T = typename decltype(tag)::type;
-        EnsureSorted<T>(e);
-      });
-    });
   }
 
   EngineContext ctx_;
@@ -669,39 +660,13 @@ class ExecutorBase : public QueryExecutor {
 // kScan — parallel full scans (MonetDB's plain select)
 // ---------------------------------------------------------------------------
 
-class ScanExecutor : public ExecutorBase {
+class ScanExecutor final : public ExecutorBase<ScanExecutor> {
  public:
   using ExecutorBase::ExecutorBase;
 
- protected:
-  size_t CountRange(const ColumnHandle& h, KeyScalar lo, KeyScalar hi,
-                    const QueryContext&) override {
-    ColumnEntry& e = Entry(h);
-    return DispatchIndexableType(e.type(), [&](auto tag) -> size_t {
-      using T = typename decltype(tag)::type;
-      const Bounds<T> b = ClampBounds<T>(lo, hi);
-      return b.empty ? 0 : ScanCount<T>(e, b);
-    });
-  }
-
-  KeyScalar SumRange(const ColumnHandle& h, KeyScalar lo, KeyScalar hi,
-                     const QueryContext&) override {
-    ColumnEntry& e = Entry(h);
-    return DispatchIndexableType(e.type(), [&](auto tag) -> KeyScalar {
-      using T = typename decltype(tag)::type;
-      const Bounds<T> b = ClampBounds<T>(lo, hi);
-      return WrapSum<T>(b.empty ? 0 : ScanSum<T>(e, b));
-    });
-  }
-
-  PositionList SelectRowIds(const ColumnHandle& h, KeyScalar lo, KeyScalar hi,
-                            const QueryContext&) override {
-    ColumnEntry& e = Entry(h);
-    return DispatchIndexableType(e.type(), [&](auto tag) -> PositionList {
-      using T = typename decltype(tag)::type;
-      const Bounds<T> b = ClampBounds<T>(lo, hi);
-      return b.empty ? PositionList{} : ScanSelect<T>(e, b);
-    });
+  template <typename T>
+  Hit<T> Access(ColumnEntry&, const KeyRange<T>&, const QueryContext&) {
+    return {};  // scan the base
   }
 };
 
@@ -709,56 +674,28 @@ class ScanExecutor : public ExecutorBase {
 // kOffline — all columns pre-sorted; cost charged to the first query
 // ---------------------------------------------------------------------------
 
-class OfflineExecutor : public ExecutorBase {
+class OfflineExecutor final : public ExecutorBase<OfflineExecutor> {
  public:
   using ExecutorBase::ExecutorBase;
 
+  /// Sorts every registered attribute (offline indexing's investment).
   void Prepare() override {
     prepared_.store(true, std::memory_order_release);
-    SortAllColumns();
-  }
-
- protected:
-  size_t CountRange(const ColumnHandle& h, KeyScalar lo, KeyScalar hi,
-                    const QueryContext&) override {
-    EnsurePrepared();
-    ColumnEntry& e = Entry(h);
-    return DispatchIndexableType(e.type(), [&](auto tag) -> size_t {
-      using T = typename decltype(tag)::type;
-      const Bounds<T> b = ClampBounds<T>(lo, hi);
-      return b.empty ? 0 : SortedSelect(*EnsureSorted<T>(e), b).size();
+    ctx_.registry->ForEach([this](ColumnEntry& e) {
+      DispatchIndexableType(e.type(), [&](auto tag) {
+        using T = typename decltype(tag)::type;
+        EnsureSorted<T>(e);
+      });
     });
   }
 
-  KeyScalar SumRange(const ColumnHandle& h, KeyScalar lo, KeyScalar hi,
-                     const QueryContext&) override {
-    EnsurePrepared();
-    ColumnEntry& e = Entry(h);
-    return DispatchIndexableType(e.type(), [&](auto tag) -> KeyScalar {
-      using T = typename decltype(tag)::type;
-      const Bounds<T> b = ClampBounds<T>(lo, hi);
-      return WrapSum<T>(b.empty ? 0 : SortedSum<T>(*EnsureSorted<T>(e), b));
-    });
-  }
-
-  PositionList SelectRowIds(const ColumnHandle& h, KeyScalar lo, KeyScalar hi,
-                            const QueryContext&) override {
-    EnsurePrepared();
-    ColumnEntry& e = Entry(h);
-    return DispatchIndexableType(e.type(), [&](auto tag) -> PositionList {
-      using T = typename decltype(tag)::type;
-      const Bounds<T> b = ClampBounds<T>(lo, hi);
-      if (b.empty) return {};
-      auto sorted = EnsureSorted<T>(e);
-      return sorted->FetchRowIds(SortedSelect(*sorted, b));
-    });
+  template <typename T>
+  Hit<T> Access(ColumnEntry& e, const KeyRange<T>& r, const QueryContext&) {
+    if (!prepared_.load(std::memory_order_acquire)) Prepare();
+    return SortedAccess(e, r);
   }
 
  private:
-  void EnsurePrepared() {
-    if (!prepared_.load(std::memory_order_acquire)) Prepare();
-  }
-
   std::atomic<bool> prepared_{false};
 };
 
@@ -766,52 +703,19 @@ class OfflineExecutor : public ExecutorBase {
 // kOnline — scans during an observation window, then sort (COLT-style)
 // ---------------------------------------------------------------------------
 
-class OnlineExecutor : public ExecutorBase {
+class OnlineExecutor final : public ExecutorBase<OnlineExecutor> {
  public:
   using ExecutorBase::ExecutorBase;
 
- protected:
-  size_t CountRange(const ColumnHandle& h, KeyScalar lo, KeyScalar hi,
-                    const QueryContext&) override {
-    ColumnEntry& e = Entry(h);
-    const uint64_t query_no =
-        queries_observed_.fetch_add(1, std::memory_order_relaxed);
-    return DispatchIndexableType(e.type(), [&](auto tag) -> size_t {
-      using T = typename decltype(tag)::type;
-      const Bounds<T> b = ClampBounds<T>(lo, hi);
-      if (b.empty) return 0;
-      if (query_no < ctx_.options->online_observation_window) {
-        return ScanCount<T>(e, b);
-      }
-      return SortedSelect(*EnsureSorted<T>(e), b).size();
-    });
-  }
-
-  KeyScalar SumRange(const ColumnHandle& h, KeyScalar lo, KeyScalar hi,
-                     const QueryContext&) override {
-    ColumnEntry& e = Entry(h);
-    return DispatchIndexableType(e.type(), [&](auto tag) -> KeyScalar {
-      using T = typename decltype(tag)::type;
-      const Bounds<T> b = ClampBounds<T>(lo, hi);
-      if (b.empty) return WrapSum<T>(0);
-      // Reuse a sorted index if the observation window already closed;
-      // never build one just for a sum.
-      if (auto sorted =
-              e.runtime<T>().sorted.load(std::memory_order_acquire)) {
-        return WrapSum<T>(SortedSum<T>(*sorted, b));
-      }
-      return WrapSum<T>(ScanSum<T>(e, b));
-    });
-  }
-
-  PositionList SelectRowIds(const ColumnHandle& h, KeyScalar lo, KeyScalar hi,
-                            const QueryContext&) override {
-    ColumnEntry& e = Entry(h);
-    return DispatchIndexableType(e.type(), [&](auto tag) -> PositionList {
-      using T = typename decltype(tag)::type;
-      const Bounds<T> b = ClampBounds<T>(lo, hi);
-      return b.empty ? PositionList{} : ScanSelect<T>(e, b);
-    });
+  /// Every access of any result shape is one observed query; once the
+  /// window closes, every access uses the column's sorted index.
+  template <typename T>
+  Hit<T> Access(ColumnEntry& e, const KeyRange<T>& r, const QueryContext&) {
+    if (queries_observed_.fetch_add(1, std::memory_order_relaxed) <
+        ctx_.options->online_observation_window) {
+      return {};  // scan the base
+    }
+    return SortedAccess(e, r);
   }
 
  private:
@@ -823,7 +727,7 @@ class OnlineExecutor : public ExecutorBase {
 // the other cracking strategies
 // ---------------------------------------------------------------------------
 
-class CrackingExecutor : public ExecutorBase {
+class CrackingExecutor : public ExecutorBase<CrackingExecutor> {
  public:
   using ExecutorBase::ExecutorBase;
 
@@ -850,23 +754,26 @@ class CrackingExecutor : public ExecutorBase {
     ColumnEntry& e = Entry(h);
     return DispatchIndexableType(e.type(), [&](auto tag) -> bool {
       using T = typename decltype(tag)::type;
+      using KT = KeyTraits<T>;
       T v{};
       if (!KeyFromScalar<T>(value, &v)) return false;
       auto cracker = EnsureCracker<T>(e, qctx);
       const CrackConfig cfg = QueryCrackConfig(qctx);
-      // Resolve the rowid of one matching row: select the closed unit range
-      // [v, v] (this is itself an index-refining access; the closed form
-      // keeps the type's maximum key deletable) and take the first
-      // qualifying rowid. A concurrent Ripple merge (holistic worker) may
-      // shift positions between the select and the read, so verify and
-      // retry.
+      // The unit range of v (the closed tail when v is the order's top, so
+      // the type's maximum key stays deletable).
+      const std::optional<T> next =
+          KT::IsHighest(v) ? std::nullopt : std::optional<T>(KT::Next(v));
+      // Resolve the rowid of one matching row: select the unit range (this
+      // is itself an index-refining access) and take the first qualifying
+      // rowid. A concurrent Ripple merge (holistic worker) may shift
+      // positions between the select and the read, so verify and retry.
       for (int attempt = 0; attempt < 8; ++attempt) {
-        const PositionRange r = cracker->SelectRangeClosed(v, v, cfg);
+        const PositionRange r = cracker->SelectRange(v, next, cfg);
         if (r.empty()) return false;
         bool found = false;
         RowId rid = 0;
         cracker->ScanRange({r.begin, r.begin + 1}, [&](T val, RowId rr) {
-          if (KeyTraits<T>::Eq(val, v)) {
+          if (KT::Eq(val, v)) {
             rid = rr;
             found = true;
           }
@@ -881,93 +788,19 @@ class CrackingExecutor : public ExecutorBase {
     });
   }
 
+  /// Cracks the column's adaptive index at the range bounds (building the
+  /// index on first access) and answers with the qualifying positions.
+  template <typename T>
+  Hit<T> Access(ColumnEntry& e, const KeyRange<T>& r,
+                const QueryContext& qctx) {
+    auto cracker = EnsureCracker<T>(e, qctx);
+    const PositionRange range =
+        cracker->SelectRange(r.lo, r.hi, QueryCrackConfig(qctx));
+    AfterSelect(e);
+    return {std::move(cracker), nullptr, range};
+  }
+
  protected:
-  size_t CountRange(const ColumnHandle& h, KeyScalar lo, KeyScalar hi,
-                    const QueryContext& qctx) override {
-    ColumnEntry& e = Entry(h);
-    return DispatchIndexableType(e.type(), [&](auto tag) -> size_t {
-      using T = typename decltype(tag)::type;
-      const Bounds<T> b = ClampBounds<T>(lo, hi);
-      if (b.empty) return 0;
-      return Select<T>(e, b, qctx, nullptr).size();
-    });
-  }
-
-  KeyScalar SumRange(const ColumnHandle& h, KeyScalar lo, KeyScalar hi,
-                     const QueryContext& qctx) override {
-    ColumnEntry& e = Entry(h);
-    return DispatchIndexableType(e.type(), [&](auto tag) -> KeyScalar {
-      using T = typename decltype(tag)::type;
-      const Bounds<T> b = ClampBounds<T>(lo, hi);
-      if (b.empty) return WrapSum<T>(0);
-      std::shared_ptr<CrackerColumn<T>> cracker;
-      const PositionRange r = Select<T>(e, b, qctx, &cracker);
-      return WrapSum<T>(cracker->SumRange(r));
-    });
-  }
-
-  PositionList SelectRowIds(const ColumnHandle& h, KeyScalar lo, KeyScalar hi,
-                            const QueryContext& qctx) override {
-    ColumnEntry& e = Entry(h);
-    return DispatchIndexableType(e.type(), [&](auto tag) -> PositionList {
-      using T = typename decltype(tag)::type;
-      const Bounds<T> b = ClampBounds<T>(lo, hi);
-      if (b.empty) return {};
-      std::shared_ptr<CrackerColumn<T>> cracker;
-      const PositionRange r = Select<T>(e, b, qctx, &cracker);
-      return cracker->FetchRowIds(r);
-    });
-  }
-
-  /// Cracked late reconstruction: the project operator reads rowids
-  /// straight out of the cracker column under piece read latches, without
-  /// materializing a position list.
-  KeyScalar ProjectSum(const ColumnHandle& where_column,
-                       const ColumnHandle& project_column, KeyScalar low,
-                       KeyScalar high, const QueryContext& qctx) override {
-    ColumnEntry& we = Entry(where_column);
-    ColumnEntry& pe = Entry(project_column);
-    CheckSameTable(we, pe);
-    return DispatchIndexableType(we.type(), [&](auto wtag) -> KeyScalar {
-      using W = typename decltype(wtag)::type;
-      const Bounds<W> b = ClampBounds<W>(low, high);
-      return DispatchIndexableType(pe.type(), [&](auto ptag) -> KeyScalar {
-        using P = typename decltype(ptag)::type;
-        if (b.empty) return WrapSum<P>(0);
-        std::shared_ptr<CrackerColumn<W>> cracker;
-        const PositionRange r = Select<W>(we, b, qctx, &cracker);
-        const Column<P>& proj = *pe.runtime<P>().base;
-        const size_t n = proj.size();
-        typename KeyTraits<P>::Sum sum = 0;
-        cracker->ScanRange(r, [&](W, RowId rid) {
-          P v{};
-          if (rid < n) {
-            v = proj[rid];
-          } else if (!AppendedValueFor<P>(pe, rid, &v)) {
-            return;  // appended on the WHERE column only; no value here
-          }
-          sum += static_cast<typename KeyTraits<P>::Sum>(v);
-        });
-        return WrapSum<P>(sum);
-      });
-    });
-  }
-
-  /// A probed conjunct still refines its attribute's adaptive index: crack
-  /// at the query bounds (Select without materialization), so repeated
-  /// multi-predicate queries converge on every predicate column — and the
-  /// holistic store keeps seeing the accesses (AfterSelect runs inside
-  /// Select).
-  void RefineHint(ColumnEntry& e, KeyScalar lo, KeyScalar hi,
-                  const QueryContext& qctx) override {
-    DispatchIndexableType(e.type(), [&](auto tag) {
-      using T = typename decltype(tag)::type;
-      const Bounds<T> b = ClampBounds<T>(lo, hi);
-      if (b.empty) return;
-      Select<T>(e, b, qctx, nullptr);
-    });
-  }
-
   /// The crack configuration of one select; overridden by kStochastic.
   virtual CrackConfig QueryCrackConfig(const QueryContext&) const {
     CrackConfig cfg;
@@ -997,20 +830,6 @@ class CrackingExecutor : public ExecutorBase {
     rt.cracker.store(fresh, std::memory_order_release);
     OnCrackerInstalled(e, qctx);
     return fresh;
-  }
-
-  template <typename T>
-  PositionRange Select(ColumnEntry& e, const Bounds<T>& b,
-                       const QueryContext& qctx,
-                       std::shared_ptr<CrackerColumn<T>>* out) {
-    auto cracker = EnsureCracker<T>(e, qctx);
-    const CrackConfig cfg = QueryCrackConfig(qctx);
-    const PositionRange r = b.closed_high
-                                ? cracker->SelectRangeClosed(b.lo, b.hi, cfg)
-                                : cracker->SelectRange(b.lo, b.hi, cfg);
-    AfterSelect(e);
-    if (out != nullptr) *out = std::move(cracker);
-    return r;
   }
 };
 

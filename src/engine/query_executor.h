@@ -6,21 +6,25 @@
 /// updates, Prepare and SeedPotential carry the mode-specific extras. All
 /// of it runs over ColumnHandles — the facade resolves names once and the
 /// executors never hash a string or take a global mutex on the query hot
-/// path. Inside each strategy the one-predicate reads land on the mode's
-/// native operators (the §3.1 count / sum / rowid-select / projected-sum
-/// shapes), which are implementation details of query_executor.cpp.
-/// Executors are type-generic: they dispatch on the handle's element type
-/// and run the typed cracker / sorted-index / scan machinery (int32_t,
-/// int64_t and double).
+/// path. Executors are type-generic: they dispatch on the handle's element
+/// type (int32_t, int64_t and double) once per predicate.
 ///
 /// Bounds and values cross this interface as KeyScalar (a tagged
-/// int64-or-double), the same shape the wire protocol carries: the typed
-/// path clamps each scalar into the column's domain with exact semantics —
-/// an int64 bound against a double column goes through the "smallest
-/// double >= v" conversion, a double bound against an integer column
-/// through exact ceil/floor arithmetic, and an exclusive high at a type's
-/// total-order maximum degrades to the closed bound [lo, Highest] (which is
-/// what keeps rows holding max(T) — or the double NaN key — selectable).
+/// int64-or-double), the same shape the wire protocol carries. The typed
+/// path clamps each predicate's bound pair into one KeyRange<T>
+/// (util/key_traits.h) with exact semantics — an int64 bound against a
+/// double column goes through the "smallest double >= v" conversion, a
+/// double bound against an integer column through exact ceil/floor
+/// arithmetic — and an exclusive high beyond the type's total-order
+/// maximum becomes the range's closed tail (no `hi`), which keeps rows
+/// holding max(T) or the double NaN key selectable.
+///
+/// Inside the executor each mode has exactly one access path: the range
+/// goes to the mode's index (a cracker select, a sorted-index binary
+/// search, or nothing for a base scan), and one visitor turns that answer
+/// into a count, a sum, rowids or a projected sum. Sums add in the
+/// access's native order — cracker, sorted or base order — which fixes the
+/// bits of a double sum per mode.
 
 #pragma once
 
@@ -65,18 +69,18 @@ class QueryExecutor {
 
   /// Executes a declarative QuerySpec (see query_spec.h for semantics).
   ///
-  /// One predicate + one result dispatches straight onto the mode-native
-  /// operator (count, sum, rowid select or late-reconstruction sum). A
+  /// One predicate + one result is answered straight from the predicate's
+  /// access (count, sum, rowid select or late-reconstruction sum). A
   /// conjunction is *planned*: predicates are ordered by estimated
   /// selectivity — cracker piece boundaries when an adaptive index exists,
   /// sorted-index counts when one is built, [min, max] rank interpolation
   /// otherwise — the most selective predicate drives the mode's select,
   /// and each remaining conjunct is applied either by sorted-positional
   /// merge against its own (index-refining) select or, when its estimated
-  /// selectivity is high, by direct value probes of the base column; in
-  /// cracking modes a probed predicate's index is still cracked at the
-  /// query bounds so repetition keeps getting faster on every predicate
-  /// column.
+  /// selectivity is high, by direct value probes of the base column; a
+  /// probed predicate still runs its access (in cracking modes a crack at
+  /// the query bounds) so repetition keeps getting faster on every
+  /// predicate column.
   ///
   /// Throws std::invalid_argument for an empty conjunction, an empty
   /// result list, a sum request without a column, or columns spanning

@@ -17,9 +17,9 @@
 /// keeps working per attribute, exactly as in the paper).
 ///
 /// Result semantics (pinned by query_spec_test):
-///  * With one predicate and one result the spec executes on the mode's
-///    native operator, including the cracked in-place sum fast path and
-///    the mode's native rowid order.
+///  * With one predicate and one result the spec is answered straight
+///    from the mode's access: a sum adds in its native order (cracker,
+///    sorted or base order), rowids come back in that order.
 ///  * Every other shape (N >= 2 predicates, or several results) first
 ///    materializes the qualifying row set, sorted ascending by rowid, and
 ///    computes each aggregate positionally through the base column in that

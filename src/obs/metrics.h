@@ -48,7 +48,7 @@
 /// | holix_query_seconds{mode="..."}             | histogram | query latency per ExecMode |
 /// | holix_slow_queries_total                    | counter   | queries over the slow threshold |
 /// | holix_planner_{probe,merge}_total           | counter   | conjunction probe-vs-merge choices |
-/// | holix_planner_refine_hints_total            | counter   | RefineHint cracks issued by probes |
+/// | holix_planner_refine_hints_total            | counter   | accesses run for probed conjuncts |
 /// | holix_index_pieces / holix_adaptive_indices | gauge     | registry-wide piece/index counts |
 /// | holix_server_connections_total              | counter   | accepted sockets |
 /// | holix_server_requests_total                 | counter   | request frames entering execution |
@@ -214,7 +214,7 @@ struct QueryTrace {
   uint16_t results = 0;      ///< result requests
   uint32_t probe_filters = 0;     ///< planner chose base-probe
   uint32_t merge_intersects = 0;  ///< planner chose sorted-intersect
-  uint32_t refine_hints = 0;      ///< RefineHint cracks issued
+  uint32_t refine_hints = 0;      ///< accesses run for probed conjuncts
   uint32_t pieces_created = 0;    ///< boundaries inserted by this query
   uint64_t bytes_scanned = 0;     ///< piece-scan bytes
   double latency_seconds = 0;

@@ -11,6 +11,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <type_traits>
 
 namespace holix {
@@ -28,7 +29,8 @@ namespace holix {
 ///    interpolation and "successor" arithmetic are well defined for every
 ///    key type;
 ///  * Next(v) is the immediate successor in the total order (precondition:
-///    !IsHighest(v)); SelectRange's closed-bound forms are built on it;
+///    !IsHighest(v)); it turns a closed integer bound into KeyRange's
+///    exclusive high;
 ///  * Canonical collapses distinct representations that compare equal
 ///    (identity for integers);
 ///  * Sum is the accumulator type of a range sum over this key type.
@@ -124,6 +126,21 @@ struct KeyTraits<double> {
   /// Successor in the total order; Next(+inf) is the NaN key.
   /// Precondition: !IsHighest(v).
   static constexpr double Next(double v) { return FromRank(ToRank(v) + 1); }
+};
+
+/// One key range in the KeyTraits<T> total order: `lo` is inclusive, `hi`
+/// exclusive, and a missing `hi` means "up to and including Highest()" —
+/// the only way to reach rows holding max(T) or the double NaN key, which
+/// no exclusive high can name. Every index (cracker, sorted, scan) and the
+/// pending-update queues take their range in this one shape.
+template <typename T>
+struct KeyRange {
+  T lo;
+  std::optional<T> hi;
+
+  bool Contains(T v) const {
+    return !KeyTraits<T>::Less(v, lo) && (!hi || KeyTraits<T>::Less(v, *hi));
+  }
 };
 
 }  // namespace holix

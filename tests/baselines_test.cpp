@@ -66,7 +66,7 @@ TEST(SortedIndex, SelectRangeMatchesNaive) {
   for (int i = 0; i < 50; ++i) {
     const int64_t lo = static_cast<int64_t>(rng.Below(1 << 20));
     const int64_t hi = lo + 1 + static_cast<int64_t>(rng.Below(1 << 16));
-    ASSERT_EQ(idx.CountRange(lo, hi), NaiveCount(data, lo, hi));
+    ASSERT_EQ(idx.SelectRange(lo, hi).size(), NaiveCount(data, lo, hi));
   }
 }
 
@@ -99,9 +99,9 @@ TEST(SortedIndex, EmptyAndDegenerateRanges) {
   ThreadPool pool(2);
   const auto data = MakeUniform(1000, 100, 8);
   SortedIndex<int64_t> idx("a", data, pool);
-  EXPECT_EQ(idx.CountRange(50, 50), 0u);
-  EXPECT_EQ(idx.CountRange(200, 300), 0u);
-  EXPECT_EQ(idx.CountRange(-10, 200), data.size());
+  EXPECT_EQ(idx.SelectRange(50, 50).size(), 0u);
+  EXPECT_EQ(idx.SelectRange(200, 300).size(), 0u);
+  EXPECT_EQ(idx.SelectRange(-10, 200).size(), data.size());
 }
 
 TEST(PreCrack, EquiWidthCreatesPieces) {

@@ -79,7 +79,7 @@ TYPED_TEST(TypedCrackerTest, ExtremeDomainValues) {
   std::vector<TypeParam> base = {lo, -1, 0, 1, below_top, top};
   CrackerColumn<TypeParam> col("a", base);
   EXPECT_EQ(col.SelectRange(lo, top).size(), 5u);  // everything except top
-  EXPECT_EQ(col.SelectRangeClosed(lo, KT::Highest()).size(), 6u);
+  EXPECT_EQ(col.SelectRange(lo, std::nullopt).size(), 6u);
   EXPECT_EQ(col.SelectRange(0, 2).size(), 2u);
   EXPECT_TRUE(col.CheckInvariants());
 }
@@ -131,7 +131,7 @@ template <typename T>
 std::unique_ptr<CrackerColumn<T>> RestoreByCracking(const RestoreCase<T>& c) {
   auto col = std::make_unique<CrackerColumn<T>>("a", c.base);
   QueueUpdates(*col, c);
-  col->MergePendingAtLeast(KeyTraits<T>::Lowest());
+  col->MergePendingInRange(KeyTraits<T>::Lowest(), std::nullopt);
   for (T w : c.pivots) col->CrackAtBlocking(w);
   return col;
 }
@@ -346,9 +346,8 @@ TEST(DoubleCrackerSemantics, SpecialKeysOrderAndSelect) {
   // A half-open high at the NaN key selects everything below it.
   EXPECT_EQ(col.SelectRange(-kInf, KeyTraits<double>::Highest()).size(), 6u);
   // The closed tail reaches the NaN key itself.
-  EXPECT_EQ(col.SelectRangeClosed(-kInf, KeyTraits<double>::Highest()).size(),
-            7u);
-  EXPECT_EQ(col.SelectRangeClosed(nan, nan).size(), 1u);
+  EXPECT_EQ(col.SelectRange(-kInf, std::nullopt).size(), 7u);
+  EXPECT_EQ(col.SelectRange(nan, std::nullopt).size(), 1u);
   // +inf is an ordinary orderable key just below NaN.
   EXPECT_EQ(col.SelectRange(kInf, KeyTraits<double>::Highest()).size(), 1u);
   EXPECT_TRUE(col.CheckInvariants());
@@ -379,10 +378,10 @@ TEST(DoubleCrackerSemantics, NaNRowsNeverWedgeTheKernels) {
       ASSERT_EQ(col.SelectRange(lo, hi, cfg).size(), naive);
     }
     // All NaNs sit in the closed tail above +inf.
-    EXPECT_EQ(col.SelectRangeClosed(std::numeric_limits<double>::infinity(),
-                                    KeyTraits<double>::Highest())
-                  .size(),
-              nans);
+    EXPECT_EQ(
+        col.SelectRange(std::numeric_limits<double>::infinity(), std::nullopt)
+            .size(),
+        nans);
     EXPECT_TRUE(col.CheckInvariants());
   }
 }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 
 #include "engine/database.h"
@@ -128,8 +129,10 @@ TEST(Database, SeedPotentialIndexRefinedBeforeQueries) {
   db.LoadColumn("r", "a", data);
   db.SeedPotentialIndex("r", "a");
   EXPECT_EQ(db.holistic()->store().Count(ConfigKind::kPotential), 1u);
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  EXPECT_GT(db.TotalIndexPieces(), 2u);  // refined while idle
+  // Refined while idle, before any query: wait for the workers rather
+  // than for a fixed time, which slow (instrumented) builds overrun.
+  EXPECT_TRUE(test::WaitForProgress([&] { return db.TotalIndexPieces() > 2; }))
+      << db.TotalIndexPieces() << " pieces";
   // First query promotes it (unless it already converged to optimal) and
   // still answers correctly.
   EXPECT_EQ(CountOf(db, db.Resolve("r", "a"), 5000, 90000),
@@ -227,6 +230,45 @@ TEST(Database, MultiClientHolisticConsistency) {
   }
   for (auto& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(Database, OnlineWindowClosesOnRowIdAndConjunctionQueries) {
+  // Every access is one observed query of the online (COLT-style) mode,
+  // whatever its result shape: once the window closes, rowid selects and
+  // conjunctions build and use the sorted index instead of scanning.
+  DatabaseOptions opts;
+  opts.mode = ExecMode::kOnline;
+  opts.user_threads = 2;
+  opts.online_observation_window = 2;
+  Database db(opts);
+  const auto a = GenerateUniformColumn(20000, kDomain, 31);
+  const auto b = GenerateUniformColumn(20000, kDomain, 32);
+  db.LoadColumn("r", "a", a);
+  db.LoadColumn("r", "b", b);
+  const ColumnHandle ha = db.Resolve("r", "a");
+  const ColumnHandle hb = db.Resolve("r", "b");
+  const auto naive_rows = [&](int64_t lo, int64_t hi, bool with_b) {
+    PositionList rows;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i] >= lo && a[i] < hi && (!with_b || b[i] < kDomain / 2)) {
+        rows.push_back(i);
+      }
+    }
+    return rows;
+  };
+  for (int q = 0; q < 4; ++q) {
+    const int64_t lo = 1000 * (q + 1);
+    const int64_t hi = lo + kDomain / 3;
+    const bool conj = q >= 2;
+    QuerySpec spec;
+    spec.Where(ha, lo, hi);
+    if (conj) spec.Where(hb, 0, kDomain / 2);
+    PositionList rows = db.Execute(spec.RowIds()).rowids;
+    std::sort(rows.begin(), rows.end());
+    EXPECT_EQ(rows, naive_rows(lo, hi, conj)) << "query " << q;
+  }
+  EXPECT_NE(ha.entry()->runtime<int64_t>().sorted.load(), nullptr);
+  EXPECT_NE(hb.entry()->runtime<int64_t>().sorted.load(), nullptr);
 }
 
 TEST(Database, OfflinePrepareSortsAllColumns) {

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -604,6 +605,115 @@ TEST(QuerySpec, DoubleSelectAndProjectSumMatchOracle) {
       db.Execute(QuerySpec().Where(h1, lo, hi).ProjectSum(h2)).values[0];
   ASSERT_TRUE(psum.is_f64());
   EXPECT_DOUBLE_EQ(psum.d, oracle);
+}
+
+TEST(QuerySpec, DoubleSumsAddInEachModesNativeOrder) {
+  // A double sum's bits depend on the order its terms are added in, and a
+  // one-predicate sum adds in its mode's native order: base order (scan;
+  // online inside its window), (value, rowid)-sorted order (offline;
+  // online once the window closed), cracker order (adaptive). Values
+  // spread over 40 binades, so another order changes the bits.
+  constexpr size_t kN = 6000;
+  Rng rng(71);
+  std::vector<double> d(kN), p(kN);
+  for (size_t i = 0; i < kN; ++i) {
+    d[i] = std::ldexp(static_cast<double>(rng.Below(1 << 20)) + 0.1,
+                      static_cast<int>(rng.Below(40)) - 20);
+    p[i] = std::ldexp(static_cast<double>(rng.Below(1 << 20)) + 0.3,
+                      static_cast<int>(rng.Below(40)) - 20);
+  }
+  std::vector<RowId> sorted(kN);
+  for (size_t i = 0; i < kN; ++i) sorted[i] = i;
+  std::sort(sorted.begin(), sorted.end(), [&](RowId a, RowId b) {
+    return KeyTraits<double>::Less(d[a], d[b]) ||
+           (KeyTraits<double>::Eq(d[a], d[b]) && a < b);
+  });
+  const auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+
+  enum class Shape { kCount, kSum, kProjectSum };
+  struct Step {
+    Shape shape;
+    double lo, hi;
+  };
+  // The online window is 2 accesses; its three counts close it whether
+  // every access or only a count advances it.
+  const std::vector<Step> steps = {
+      {Shape::kSum, 0.5, 3.0e5},         {Shape::kProjectSum, 2.0, 9.0e4},
+      {Shape::kCount, 1.0, 5.0e5},       {Shape::kCount, 1.0, 5.0e5},
+      {Shape::kCount, 1.0, 5.0e5},       {Shape::kSum, 0.25, 6.0e5},
+      {Shape::kProjectSum, 3.0, 7.0e5},  {Shape::kSum, 10.0, 4.0e4},
+  };
+  enum class Order { kBase, kSorted, kCracker };
+  for (ExecMode m : {ExecMode::kScan, ExecMode::kOffline, ExecMode::kOnline,
+                     ExecMode::kAdaptive}) {
+    DatabaseOptions opts = ModeOptions(m);
+    opts.user_threads = 1;
+    opts.online_observation_window = 2;
+    Database db(opts);
+    db.LoadColumn<double>("t", "d", d);
+    db.LoadColumn<double>("t", "p", p);
+    const ColumnHandle hd = db.Resolve("t", "d");
+    const ColumnHandle hp = db.Resolve("t", "p");
+    // kAdaptive's oracle: a standalone cracker given the same selects.
+    CrackerColumn<double> cracker("d", d);
+    CrackConfig cfg;
+    cfg.algo = opts.kernel;
+    for (size_t s = 0; s < steps.size(); ++s) {
+      const Step& st = steps[s];
+      const PositionRange cracked = cracker.SelectRange(st.lo, st.hi, cfg);
+      if (st.shape == Shape::kCount) {
+        EXPECT_EQ(CountOf(db, hd, KeyScalar::F64(st.lo), KeyScalar::F64(st.hi)),
+                  cracked.size());
+        continue;
+      }
+      Order order = Order::kBase;
+      if (m == ExecMode::kOffline || (m == ExecMode::kOnline && s > 4)) {
+        order = Order::kSorted;
+      } else if (m == ExecMode::kAdaptive) {
+        order = Order::kCracker;
+      }
+      // Past the online window only the plain sum is pinned.
+      if (m == ExecMode::kOnline && s > 4 && st.shape == Shape::kProjectSum) {
+        continue;
+      }
+      const std::vector<double>& col = st.shape == Shape::kSum ? d : p;
+      double want = 0;
+      const auto add = [&](RowId rid) { want += col[rid]; };
+      if (order == Order::kBase) {
+        for (RowId i = 0; i < kN; ++i) {
+          if (d[i] >= st.lo && d[i] < st.hi) add(i);
+        }
+      } else if (order == Order::kSorted) {
+        for (RowId i : sorted) {
+          if (d[i] >= st.lo && d[i] < st.hi) add(i);
+        }
+      } else {
+        cracker.ScanRange(cracked, [&](double, RowId rid) { add(rid); });
+      }
+      QuerySpec spec;
+      spec.Where(hd, KeyScalar::F64(st.lo), KeyScalar::F64(st.hi));
+      if (st.shape == Shape::kSum) {
+        spec.Sum(hd);
+      } else {
+        spec.ProjectSum(hp);
+      }
+      const KeyScalar got = db.Execute(spec).values[0];
+      ASSERT_TRUE(got.is_f64());
+      EXPECT_EQ(bits(got.d), bits(want))
+          << ExecModeName(m) << " step " << s << ": " << got.d << " vs "
+          << want;
+    }
+  }
+  // The data discriminates: base and sorted order give different bits for
+  // one of the sums above.
+  double base_sum = 0, sorted_sum = 0;
+  for (RowId i = 0; i < kN; ++i) {
+    if (d[i] >= 0.25 && d[i] < 6.0e5) base_sum += d[i];
+  }
+  for (RowId i : sorted) {
+    if (d[i] >= 0.25 && d[i] < 6.0e5) sorted_sum += d[i];
+  }
+  EXPECT_NE(bits(base_sum), bits(sorted_sum));
 }
 
 }  // namespace

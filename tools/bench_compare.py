@@ -9,10 +9,12 @@ shape ReportTable::SaveJson emits:
 This tool joins a fresh run against the committed baseline in
 `bench/results/` row-by-row (first column is the row key, e.g. the client
 count) and cell-by-cell, and fails when any timing cell regressed beyond
-the threshold ratio. Only timing cells are gated: the row-key column,
-non-numeric cells (labels like "u1w1x2"), columns whose header marks them
-as non-timing (e.g. "checksum"), and sub-5ms cells (pure noise at smoke
-scale) are all skipped.
+the threshold ratio, or when any answer cell changed. Answer cells are the
+columns whose header names a checksum or a match flag: a fresh answer must
+equal the baseline cell exactly, since a faster wrong answer is no pass.
+Timing gates skip the row-key column, non-numeric cells (labels like
+"u1w1x2"), the other non-timing columns (e.g. "clients") and sub-5ms
+cells (pure noise at smoke scale).
 
 Each row is ADDITIONALLY gated on the sum of its timing cells: at smoke
 scale a figure like fig17_socket can have every individual cell under the
@@ -27,7 +29,8 @@ Usage:
         --figs fig17,fig17_socket --threshold 2.5
     tools/bench_compare.py ... --update   # refresh the baselines instead
 
-Exit status: 0 = no regression, 1 = regression or missing input.
+Exit status: 0 = no regression, 1 = regression, changed answer or missing
+input.
 """
 
 import argparse
@@ -40,10 +43,22 @@ import sys
 # on them.
 MIN_GATED_SECONDS = 0.005
 
-# Column headers that carry non-timing numerics (correctness probes, row
-# labels); gating them would flag intentional workload changes as
-# "regressions".
-NON_TIMING_HEADERS = ("checksum", "clients", "#attrs", "variation", "match")
+# Column headers whose cells are answers (correctness probes): gated for
+# exact equality instead of time.
+ANSWER_HEADERS = ("checksum", "match")
+
+# Column headers that carry other non-timing numerics (row labels); gating
+# them would flag intentional workload changes as "regressions".
+NON_TIMING_HEADERS = ("clients", "#attrs", "variation")
+
+
+def column_name(header, col):
+    return header[col] if col < len(header) else f"col{col}"
+
+
+def is_answer_column(header, col):
+    name = column_name(header, col).lower()
+    return col != 0 and any(tag in name for tag in ANSWER_HEADERS)
 
 
 def is_timing_column(header, col):
@@ -98,6 +113,13 @@ def compare_fig(fig, baseline_dir, fresh_dir, threshold):
         fresh_sum = 0.0
         summed = 0
         for col, (b_cell, f_cell) in enumerate(zip(base_row, fresh_row)):
+            if is_answer_column(base_header, col):
+                checked += 1
+                if f_cell != b_cell:
+                    regressions.append(
+                        f"{fig} row '{key}' {column_name(base_header, col)}: "
+                        f"answer changed {b_cell!r} -> {f_cell!r}")
+                continue
             if not is_timing_column(base_header, col):
                 continue
             b, f = parse_cell(b_cell), parse_cell(f_cell)
@@ -111,10 +133,9 @@ def compare_fig(fig, baseline_dir, fresh_dir, threshold):
             checked += 1
             floor = max(b, MIN_GATED_SECONDS)
             if f > floor * threshold:
-                col_name = (base_header[col]
-                            if col < len(base_header) else f"col{col}")
                 regressions.append(
-                    f"{fig} row '{key}' {col_name}: {b:.4f}s -> {f:.4f}s "
+                    f"{fig} row '{key}' {column_name(base_header, col)}: "
+                    f"{b:.4f}s -> {f:.4f}s "
                     f"({f / floor:.2f}x > {threshold:.2f}x)")
         # Aggregate row gate: catches figures whose individual cells all
         # sit under the noise floor (see the module docstring).
@@ -169,7 +190,7 @@ def main():
                 print(f"REGRESSION: {r}", file=sys.stderr)
         else:
             print(f"bench_compare: {fig}: {checked} cells within "
-                  f"{args.threshold:.2f}x of baseline")
+                  f"{args.threshold:.2f}x of baseline, answers equal")
     if total_checked == 0 and not failed:
         # An empty comparison is a broken gate, not a pass.
         print("bench_compare: nothing compared — empty rows or all cells "
