@@ -138,20 +138,22 @@ void BM_CrackInTwoScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_CrackInTwoScalar)->Range(1 << 14, 1 << 22)->UseManualTime();
 
+/// The out-of-place tier: morsel-wise, portable kernel.
 void BM_CrackInTwoOutOfPlace(benchmark::State& state) {
-  CrackScratch<int64_t> scratch;
   RunKernelBench(state, static_cast<size_t>(state.range(0)),
-                 [&](int64_t* v, RowId* ids, size_t n) {
-                   return CrackInTwoOutOfPlace(v, ids, 0, n, kPivot, scratch);
+                 [](int64_t* v, RowId* ids, size_t n) {
+                   return MorselCrackInTwo(v, ids, 0, n, kPivot,
+                                           SimdLevel::kPortable);
                  });
 }
 BENCHMARK(BM_CrackInTwoOutOfPlace)->Range(1 << 14, 1 << 22)->UseManualTime();
 
+/// The SIMD tier: morsel-wise, kernel at the detected level.
 void BM_CrackInTwoSimd(benchmark::State& state) {
-  CrackScratch<int64_t> scratch;
   RunKernelBench(state, static_cast<size_t>(state.range(0)),
-                 [&](int64_t* v, RowId* ids, size_t n) {
-                   return CrackInTwoSimd(v, ids, 0, n, kPivot, scratch);
+                 [](int64_t* v, RowId* ids, size_t n) {
+                   return MorselCrackInTwo(v, ids, 0, n, kPivot,
+                                           DetectSimdLevel());
                  });
 }
 BENCHMARK(BM_CrackInTwoSimd)->Range(1 << 14, 1 << 22)->UseManualTime();
@@ -162,14 +164,13 @@ void BM_ParallelCrackMorsel(benchmark::State& state) {
   const size_t n = 1 << 22;
   const size_t threads = static_cast<size_t>(state.range(0));
   ThreadPool pool(threads);
-  ParallelCrackOptions opts;
-  opts.threads = threads;
   RotatingInputs<int64_t> rot(n);
   for (auto _ : state) {
     const size_t slot = rot.Acquire();
     const auto t0 = std::chrono::steady_clock::now();
-    const size_t cut = ParallelCrackInTwo(rot.values(slot), rot.rowids(slot),
-                                          0, n, kPivot, pool, opts);
+    const size_t cut =
+        MorselCrackInTwo(rot.values(slot), rot.rowids(slot), 0, n, kPivot,
+                         DetectSimdLevel(), &pool, threads);
     const auto t1 = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(cut);
     state.SetIterationTime(Seconds(t0, t1));
@@ -246,7 +247,6 @@ double AddTypedRows(ReportTable& table, const std::string& suffix, size_t n,
   std::iota(base_i.begin(), base_i.end(), RowId{0});
   auto v = base_v;
   auto ids = base_i;
-  CrackScratch<T> scratch;
   size_t cut = 0;
   const double scalar_s =
       BestOf<T>(reps, v, ids, base_v, base_i, &cut,
@@ -260,10 +260,10 @@ double AddTypedRows(ReportTable& table, const std::string& suffix, size_t n,
   table.AddRow({"scalar-" + suffix, FormatSeconds(scalar_s),
                 std::to_string(cut)});
   const double simd_s = BestOf<T>(reps, v, ids, base_v, base_i, &cut,
-                                  [&](T* vv, RowId* ii, size_t nn) {
-                                    return CrackInTwoSimd(
+                                  [](T* vv, RowId* ii, size_t nn) {
+                                    return MorselCrackInTwo(
                                         vv, ii, 0, nn, static_cast<T>(kPivot),
-                                        scratch);
+                                        DetectSimdLevel());
                                   });
   table.AddRow({"simd-" + suffix, FormatSeconds(simd_s),
                 std::to_string(cut)});
@@ -291,7 +291,6 @@ void RunSummary() {
   std::iota(base_i.begin(), base_i.end(), RowId{0});
   auto v = base_v;
   auto ids = base_i;
-  CrackScratch<int64_t> scratch;
   size_t cut = 0;
 
   ReportTable table("micro crack kernels: seconds per crack-in-two, n=2^" +
@@ -311,16 +310,17 @@ void RunSummary() {
 
   const double oop_s =
       BestOf<int64_t>(reps, v, ids, base_v, base_i, &cut,
-                      [&](int64_t* vv, RowId* ii, size_t nn) {
-                        return CrackInTwoOutOfPlace(vv, ii, 0, nn, kPivot,
-                                                    scratch);
+                      [](int64_t* vv, RowId* ii, size_t nn) {
+                        return MorselCrackInTwo(vv, ii, 0, nn, kPivot,
+                                                SimdLevel::kPortable);
                       });
   table.AddRow({"oop", FormatSeconds(oop_s), std::to_string(cut)});
 
   const double simd_s =
       BestOf<int64_t>(reps, v, ids, base_v, base_i, &cut,
-                      [&](int64_t* vv, RowId* ii, size_t nn) {
-                        return CrackInTwoSimd(vv, ii, 0, nn, kPivot, scratch);
+                      [](int64_t* vv, RowId* ii, size_t nn) {
+                        return MorselCrackInTwo(vv, ii, 0, nn, kPivot,
+                                                DetectSimdLevel());
                       });
   table.AddRow({"simd", FormatSeconds(simd_s), std::to_string(cut)});
 
@@ -329,13 +329,12 @@ void RunSummary() {
 
   {
     ThreadPool pool(threads);
-    ParallelCrackOptions opts;
-    opts.threads = threads;
     const double s =
         BestOf<int64_t>(reps, v, ids, base_v, base_i, &cut,
                         [&](int64_t* vv, RowId* ii, size_t nn) {
-                          return ParallelCrackInTwo(vv, ii, 0, nn, kPivot,
-                                                    pool, opts);
+                          return MorselCrackInTwo(vv, ii, 0, nn, kPivot,
+                                                  DetectSimdLevel(), &pool,
+                                                  threads);
                         });
     table.AddRow({"parallel-morsel x" + std::to_string(threads),
                   FormatSeconds(s), std::to_string(cut)});

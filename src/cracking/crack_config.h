@@ -1,5 +1,11 @@
 /// \file crack_config.h
 /// \brief Per-call configuration of cracking behaviour.
+///
+/// The out-of-place kernels (kOutOfPlace, kSimd, kParallel) crack a piece
+/// morsel by morsel and then neutralize (MorselCrackInTwo,
+/// parallel_crack.h). The morsel size is the constant kCrackMorselRows, not
+/// a knob, so the three produce identical bytes; they differ only in the
+/// kernel level and in how many threads run the morsels.
 
 #pragma once
 
@@ -16,7 +22,7 @@ namespace holix {
 enum class CrackAlgo {
   kScalar,      ///< Branchy in-place Hoare partition [27].
   kOutOfPlace,  ///< Predicated out-of-place kernel (vectorized cracking [44]).
-  kParallel,    ///< Morsel-driven partition & merge across threads [44].
+  kParallel,    ///< kSimd with morsels spread across threads [44].
   kSimd,        ///< AVX2/AVX-512 compress-store tier (crack_kernels_simd.h);
                 ///< falls back to kOutOfPlace below AVX2, same output bytes.
 };
@@ -55,15 +61,8 @@ struct CrackConfig {
   /// Pool used by kParallel cracks (not owned). May be shared.
   ThreadPool* pool = nullptr;
 
-  /// Threads per parallel crack (the slice/morsel worker count of Figure 4).
+  /// Threads running one kParallel crack's morsels (Figure 4's slices).
   size_t parallel_threads = 1;
-
-  /// Pieces smaller than this fall back to the single-threaded SIMD kernel
-  /// even when kParallel is requested.
-  size_t min_parallel_piece = 1u << 16;
-
-  /// Rows per morsel; 0 derives ~one L2 worth of (value, rowid) pairs.
-  size_t morsel_rows = 0;
 
   /// Stochastic cracking (PVSDC [21,44]): before cracking the target piece
   /// at the query bound, repeatedly crack it at data-driven random pivots

@@ -10,7 +10,8 @@
 ///                           spirit of the vectorized cracking of Pirk et
 ///                           al. [44]: one sequential read stream, two
 ///                           sequential write streams, no data-dependent
-///                           branches in the hot loop.
+///                           branches in the hot loop. It cracks one
+///                           morsel; MorselCrackInTwo runs whole pieces.
 ///
 /// All kernels partition values and co-move an attached rowid array (and,
 /// for the scalar kernels, arbitrary extra payload arrays via the swap
@@ -24,10 +25,14 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <new>
 #include <utility>
-#include <vector>
 
+#include "obs/metrics.h"
 #include "storage/types.h"
 
 namespace holix {
@@ -76,40 +81,98 @@ std::pair<size_t, size_t> CrackInThreeScalar(T* v, size_t lo_idx,
   return {i, k};
 }
 
-/// Scratch buffers reused across out-of-place cracks by one thread.
-template <typename T>
-struct CrackScratch {
-  std::vector<T> values;
-  std::vector<RowId> rowids;
+/// Rows per crack morsel. Every out-of-place tier cracks a piece larger
+/// than this as a sequence of morsels (MorselCrackInTwo, parallel_crack.h),
+/// so a crack never needs more scratch than one morsel. A constant rather
+/// than a cache-derived size: every tier, dispatch level, thread count and
+/// host then produces the same bytes.
+inline constexpr size_t kCrackMorselRows = size_t{1} << 16;
+
+/// Slack rows past one morsel: the AVX2 compress emulation always stores a
+/// full vector and advances the cursor by the popcount, so up to
+/// lane-width - 1 garbage rows spill past the last valid slot.
+inline constexpr size_t kCrackLanePad = 16;
+
+/// One thread's crack scratch: a (value, rowid) stream of one morsel plus
+/// kCrackLanePad rows, 64-byte aligned, allocated on first use and never
+/// resized. Live scratch is summed over threads in the
+/// holix_crack_scratch_bytes gauge.
+class CrackScratch {
+ public:
+  static constexpr size_t kRows = kCrackMorselRows + kCrackLanePad;
+  /// Both streams; the value stream is sized for the widest (8-byte) key.
+  static constexpr size_t kBytes = kRows * (sizeof(uint64_t) + sizeof(RowId));
+
+  CrackScratch() = default;
+  CrackScratch(const CrackScratch&) = delete;
+  CrackScratch& operator=(const CrackScratch&) = delete;
+  ~CrackScratch() {
+    if (data_ != nullptr) LiveBytes().Add(-static_cast<double>(kBytes));
+  }
+
+  /// The value stream as T. One scratch serves every key type, so each
+  /// call re-types the stream: a fresh byte array implicitly creates the T
+  /// objects (free at run time; the bytes are rewritten before any read).
+  template <typename T>
+  T* values() {
+    static_assert(sizeof(T) <= sizeof(uint64_t));
+    return std::launder(reinterpret_cast<T*>(
+        ::new (Data()) std::byte[kRows * sizeof(uint64_t)]));
+  }
+  RowId* rowids() {
+    return reinterpret_cast<RowId*>(Data() + kRows * sizeof(uint64_t));
+  }
+
+  /// Bytes held: 0 before the first crack, kBytes from then on.
+  size_t bytes() const { return data_ != nullptr ? kBytes : 0; }
+
+ private:
+  static constexpr std::align_val_t kAlign{64};
+  struct Free {
+    void operator()(std::byte* p) const { ::operator delete[](p, kAlign); }
+  };
+
+  static obs::Gauge& LiveBytes() {
+    static obs::Gauge& g = obs::MetricsRegistry::Global().GetGauge(
+        "holix_crack_scratch_bytes");
+    return g;
+  }
+
+  std::byte* Data() {
+    if (data_ == nullptr) {
+      data_.reset(static_cast<std::byte*>(::operator new[](kBytes, kAlign)));
+      LiveBytes().Add(static_cast<double>(kBytes));
+    }
+    return data_.get();
+  }
+
+  std::unique_ptr<std::byte[], Free> data_;
 };
 
-/// Thread-local scratch for out-of-place cracking.
-template <typename T>
-CrackScratch<T>& ThreadLocalCrackScratch() {
-  thread_local CrackScratch<T> scratch;
+/// The calling thread's crack scratch.
+inline CrackScratch& ThreadLocalCrackScratch() {
+  thread_local CrackScratch scratch;
   return scratch;
 }
 
-/// Out-of-place two-way partition of values+rowids in [lo, hi).
+/// Out-of-place two-way partition of values+rowids in [lo, hi), at most one
+/// morsel (hi - lo <= kCrackMorselRows).
 ///
-/// Reads the piece once sequentially, writes lows forward / highs backward
+/// Reads the morsel once sequentially, writes lows forward / highs backward
 /// into scratch with predicated cursor updates (no mispredicted branches),
 /// then copies back. This keeps the memory-access character of vectorized
 /// cracking [44] — sequential streams instead of the random-ish swap
-/// pattern of the Hoare kernel — at the cost of piece-sized scratch, which
-/// shrinks as cracking progresses.
+/// pattern of the Hoare kernel. Lows keep input order at the front, highs
+/// land in reverse input order at the back.
 /// \return the cut: first position whose value is >= pivot.
 template <typename T>
 size_t CrackInTwoOutOfPlace(T* v, RowId* ids, size_t lo, size_t hi, T pivot,
-                            CrackScratch<T>& scratch) {
+                            CrackScratch& scratch) {
   const size_t n = hi - lo;
+  assert(n <= kCrackMorselRows);
   if (n == 0) return lo;
-  if (scratch.values.size() < n) {
-    scratch.values.resize(n);
-    scratch.rowids.resize(n);
-  }
-  T* vb = scratch.values.data();
-  RowId* ib = scratch.rowids.data();
+  T* vb = scratch.values<T>();
+  RowId* ib = scratch.rowids();
   size_t f = 0;
   size_t b = n - 1;
   for (size_t k = lo; k < hi; ++k) {

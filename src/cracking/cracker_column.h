@@ -303,17 +303,6 @@ class CrackerColumn {
     }
   }
 
-  /// Sum of values in \p range (a cheap aggregate used by benchmarks to
-  /// force result consumption). Accumulates in the key type's Sum type:
-  /// int64 for integer keys, double for double keys.
-  typename KeyTraits<T>::Sum SumRange(PositionRange range) const {
-    typename KeyTraits<T>::Sum sum = 0;
-    ScanRange(range, [&](T v, RowId) {
-      sum += static_cast<typename KeyTraits<T>::Sum>(v);
-    });
-    return sum;
-  }
-
   /// Materializes the rowids in \p range (tuple reconstruction input).
   PositionList FetchRowIds(PositionRange range) const {
     PositionList out;
@@ -646,23 +635,16 @@ class CrackerColumn {
               std::swap(values_[i], values_[j]);
               std::swap(rowids_[i], rowids_[j]);
             });
-      case CrackAlgo::kParallel:
-        if (cfg.pool != nullptr && cfg.parallel_threads > 1) {
-          ParallelCrackOptions opts;
-          opts.threads = cfg.parallel_threads;
-          opts.min_parallel_piece = cfg.min_parallel_piece;
-          opts.morsel_rows = cfg.morsel_rows;
-          return ParallelCrackInTwo(values_.data(), rowids_.data(), begin,
-                                    end, pivot, *cfg.pool, opts);
-        }
-        [[fallthrough]];
-      case CrackAlgo::kSimd:
-        return CrackInTwoSimd(values_.data(), rowids_.data(), begin, end,
-                              pivot, ThreadLocalCrackScratch<T>());
       case CrackAlgo::kOutOfPlace:
-        return CrackInTwoOutOfPlace(values_.data(), rowids_.data(), begin,
-                                    end, pivot,
-                                    ThreadLocalCrackScratch<T>());
+        return MorselCrackInTwo(values_.data(), rowids_.data(), begin, end,
+                                pivot, SimdLevel::kPortable);
+      case CrackAlgo::kSimd:
+      case CrackAlgo::kParallel:
+        return MorselCrackInTwo(
+            values_.data(), rowids_.data(), begin, end, pivot,
+            DetectSimdLevel(),
+            cfg.algo == CrackAlgo::kParallel ? cfg.pool : nullptr,
+            cfg.parallel_threads);
     }
     return begin;
   }

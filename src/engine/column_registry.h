@@ -137,6 +137,10 @@ class ColumnEntry {
   /// Serializes slow-path index construction for this attribute only.
   std::mutex build_mu;
 
+  /// Accesses observed by the online (COLT-style) mode; this column's
+  /// observation window closes once it reaches the configured window.
+  std::atomic<uint64_t> online_observed{0};
+
   /// Set by DropTable; checked by executors before dereferencing base.
   std::atomic<bool> dropped{false};
 

@@ -47,11 +47,13 @@ struct DatabaseOptions {
   /// kCCGI: number of coarse chunks (0 = user_threads).
   size_t ccgi_chunks = 0;
 
-  /// Crack kernel of the user-query select path. kParallel uses the
-  /// morsel-driven scheme across `user_threads` contexts (each morsel
-  /// cracked by the SIMD tier); kSimd forces single-threaded SIMD cracks;
-  /// kScalar / kOutOfPlace pin the legacy kernels. All choices produce the
-  /// same query results — kOutOfPlace/kSimd/kParallel even the same bytes.
+  /// Crack kernel of the user-query select path. kOutOfPlace, kSimd and
+  /// kParallel all crack morsel by morsel (MorselCrackInTwo): kOutOfPlace
+  /// with the portable kernel, kSimd with the SIMD tier on the caller,
+  /// kParallel with the SIMD tier across `user_threads` contexts; kScalar
+  /// pins the in-place Hoare kernel. All choices produce the same query
+  /// results — kOutOfPlace/kSimd/kParallel even the same bytes, since the
+  /// morsel size is a constant.
   CrackAlgo kernel = CrackAlgo::kParallel;
 
   /// kHolistic: engine knobs (workers, x, strategy, budget, ...).

@@ -707,19 +707,16 @@ class OnlineExecutor final : public ExecutorBase<OnlineExecutor> {
  public:
   using ExecutorBase::ExecutorBase;
 
-  /// Every access of any result shape is one observed query; once the
-  /// window closes, every access uses the column's sorted index.
+  /// Every access of any result shape is one observed query on its column;
+  /// once that column's window closes, its accesses use its sorted index.
   template <typename T>
   Hit<T> Access(ColumnEntry& e, const KeyRange<T>& r, const QueryContext&) {
-    if (queries_observed_.fetch_add(1, std::memory_order_relaxed) <
+    if (e.online_observed.fetch_add(1, std::memory_order_relaxed) <
         ctx_.options->online_observation_window) {
       return {};  // scan the base
     }
     return SortedAccess(e, r);
   }
-
- private:
-  std::atomic<uint64_t> queries_observed_{0};
 };
 
 // ---------------------------------------------------------------------------

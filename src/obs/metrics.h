@@ -32,6 +32,7 @@
 /// | holix_crack_simd_ops_total                  | counter   | cracks served by the SIMD tier (vs fallback) |
 /// | holix_crack_morsels_total                   | counter   | morsels executed by parallel cracks |
 /// | holix_crack_morsel_steals_total             | counter   | morsels stolen from another worker's deque |
+/// | holix_crack_scratch_bytes                   | gauge     | live crack scratch, summed over threads (one morsel each at most) |
 /// | holix_pieces_created_total                  | counter   | piece boundaries inserted |
 /// | holix_scan_bytes_total                      | counter   | bytes read by piece scans |
 /// | holix_ripple_merged_inserts_total           | counter   | pending inserts merged (Ripple) |

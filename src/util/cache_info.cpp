@@ -9,13 +9,11 @@ namespace holix {
 namespace {
 
 std::atomic<size_t> g_l1_override{0};
-std::atomic<size_t> g_l2_override{0};
 
 /// Reads the size of the first cpu0 cache at \p want_level whose type is
 /// Data or Unified; returns 0 when sysfs has no such entry.
 size_t DetectCacheLevel(int want_level) {
-  // sysfs exposes per-cpu cache indices; the L1D is index0 or index1, the
-  // unified L2 usually index2.
+  // sysfs exposes per-cpu cache indices; the L1D is index0 or index1.
   for (int index = 0; index < 8; ++index) {
     const std::string base =
         "/sys/devices/system/cpu/cpu0/cache/index" + std::to_string(index);
@@ -59,22 +57,8 @@ size_t L1DataCacheBytes() {
   return detected;
 }
 
-size_t L2CacheBytes() {
-  const size_t forced = g_l2_override.load(std::memory_order_relaxed);
-  if (forced != 0) return forced;
-  static const size_t detected = [] {
-    const size_t bytes = DetectCacheLevel(2);
-    return bytes != 0 ? bytes : size_t{1} * 1024 * 1024;  // 1 MiB default.
-  }();
-  return detected;
-}
-
 void OverrideL1DataCacheBytes(size_t bytes) {
   g_l1_override.store(bytes, std::memory_order_relaxed);
-}
-
-void OverrideL2CacheBytes(size_t bytes) {
-  g_l2_override.store(bytes, std::memory_order_relaxed);
 }
 
 }  // namespace holix

@@ -1,11 +1,9 @@
 /// \file cache_info.h
-/// \brief L1/L2 data-cache size discovery.
+/// \brief L1 data-cache size discovery.
 ///
 /// Holistic indexing declares an adaptive index *optimal* once the average
-/// piece of its cracker column fits in L1 (Equation 1 in the paper), and the
-/// morsel-driven parallel crack sizes its work units to roughly one L2 worth
-/// of rows. Sizes are read from sysfs on Linux and fall back to 32 KiB (L1)
-/// / 1 MiB (L2).
+/// piece of its cracker column fits in L1 (Equation 1 in the paper). The
+/// size is read from sysfs on Linux and falls back to 32 KiB.
 
 #pragma once
 
@@ -16,9 +14,6 @@ namespace holix {
 /// Returns the L1 data cache size in bytes (cached after the first call).
 size_t L1DataCacheBytes();
 
-/// Returns the per-core L2 cache size in bytes (cached after the first call).
-size_t L2CacheBytes();
-
 /// Returns the number of elements of \p element_size bytes that fit in L1.
 inline size_t L1Elements(size_t element_size) {
   return L1DataCacheBytes() / element_size;
@@ -28,8 +23,5 @@ inline size_t L1Elements(size_t element_size) {
 /// by benchmarks that scale data down but want to keep the paper's
 /// piece-count ratios.
 void OverrideL1DataCacheBytes(size_t bytes);
-
-/// Overrides the detected L2 size (0 restores detection).
-void OverrideL2CacheBytes(size_t bytes);
 
 }  // namespace holix

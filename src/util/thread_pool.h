@@ -164,7 +164,7 @@ class ThreadPool {
   /// (0 = caller + whole pool). Same exception barrier as ParallelFor.
   ///
   /// One index is one morsel; callers choose the morsel granularity by how
-  /// they carve their range (parallel_crack.h uses ~L2-sized row blocks).
+  /// they carve their range (parallel_crack.h uses 2^16-row blocks).
   MorselRunStats ParallelForMorsels(size_t begin, size_t end,
                                     const std::function<void(size_t)>& body,
                                     size_t max_participants = 0) {

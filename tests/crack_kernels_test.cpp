@@ -92,7 +92,7 @@ TEST_P(OutOfPlaceKernelTest, PartitionsCorrectly) {
   const auto [n, pivot] = GetParam();
   const KernelInput original = MakeInput(n, 1000, 7 * n + pivot);
   KernelInput in = original;
-  CrackScratch<int64_t> scratch;
+  CrackScratch scratch;
   const size_t cut = CrackInTwoOutOfPlace(in.values.data(), in.ids.data(), 0,
                                           n, pivot, scratch);
   EXPECT_EQ(cut, ExpectedCut(original.values, pivot));
@@ -108,7 +108,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(OutOfPlaceKernel, SubrangeOnly) {
   const KernelInput original = MakeInput(1000, 100, 5);
   KernelInput in = original;
-  CrackScratch<int64_t> scratch;
+  CrackScratch scratch;
   const size_t cut = CrackInTwoOutOfPlace(in.values.data(), in.ids.data(),
                                           size_t{200}, size_t{700},
                                           int64_t{50}, scratch);
@@ -164,8 +164,8 @@ TEST_P(ParallelKernelTest, MatchesSequentialSemantics) {
   KernelInput in = original;
   const int64_t pivot = 1 << 19;
   const size_t cut =
-      ParallelCrackInTwo(in.values.data(), in.ids.data(), 0, n, pivot, pool,
-                         threads, /*min_parallel_piece=*/256);
+      MorselCrackInTwo(in.values.data(), in.ids.data(), 0, n, pivot,
+                       DetectSimdLevel(), &pool, threads);
   EXPECT_EQ(cut, ExpectedCut(original.values, pivot));
   CheckTwoWay(original, in, cut, pivot);
 }
@@ -177,30 +177,30 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ParallelKernel, AllValuesBelowPivot) {
   ThreadPool pool(4);
-  KernelInput in = MakeInput(10000, 100, 1);
-  const size_t cut = ParallelCrackInTwo(in.values.data(), in.ids.data(), 0,
-                                        in.values.size(), int64_t{1000}, pool,
-                                        4, 256);
+  KernelInput in = MakeInput(3 * kCrackMorselRows + 5, 100, 1);
+  const size_t cut = MorselCrackInTwo(in.values.data(), in.ids.data(), 0,
+                                      in.values.size(), int64_t{1000},
+                                      DetectSimdLevel(), &pool, 4);
   EXPECT_EQ(cut, in.values.size());
 }
 
 TEST(ParallelKernel, AllValuesAtOrAbovePivot) {
   ThreadPool pool(4);
-  KernelInput in = MakeInput(10000, 100, 2);
-  const size_t cut = ParallelCrackInTwo(in.values.data(), in.ids.data(), 0,
-                                        in.values.size(), int64_t{-1}, pool,
-                                        4, 256);
+  KernelInput in = MakeInput(3 * kCrackMorselRows + 5, 100, 2);
+  const size_t cut = MorselCrackInTwo(in.values.data(), in.ids.data(), 0,
+                                      in.values.size(), int64_t{-1},
+                                      DetectSimdLevel(), &pool, 4);
   EXPECT_EQ(cut, 0u);
 }
 
 TEST(ParallelKernel, SubrangePreservesOutside) {
   ThreadPool pool(4);
-  const KernelInput original = MakeInput(100000, 1u << 16, 9);
+  const KernelInput original = MakeInput(300000, 1u << 16, 9);
   KernelInput in = original;
-  const size_t lo = 10000, hi = 90000;
+  const size_t lo = 10000, hi = 290000;
   const int64_t pivot = 1 << 15;
-  ParallelCrackInTwo(in.values.data(), in.ids.data(), lo, hi, pivot, pool, 4,
-                     256);
+  MorselCrackInTwo(in.values.data(), in.ids.data(), lo, hi, pivot,
+                   DetectSimdLevel(), &pool, 4);
   for (size_t i = 0; i < lo; ++i) ASSERT_EQ(in.values[i], original.values[i]);
   for (size_t i = hi; i < in.values.size(); ++i)
     ASSERT_EQ(in.values[i], original.values[i]);
@@ -218,21 +218,17 @@ size_t RunCrack(CrackAlgo algo, KernelInput& in, size_t lo, size_t hi,
                                 std::swap(in.values[i], in.values[j]);
                                 std::swap(in.ids[i], in.ids[j]);
                               });
-    case CrackAlgo::kOutOfPlace: {
-      CrackScratch<int64_t> scratch;
-      return CrackInTwoOutOfPlace(in.values.data(), in.ids.data(), lo, hi,
-                                  pivot, scratch);
-    }
+    case CrackAlgo::kOutOfPlace:
+      return MorselCrackInTwo(in.values.data(), in.ids.data(), lo, hi, pivot,
+                              SimdLevel::kPortable);
     case CrackAlgo::kParallel: {
       ThreadPool pool(4);
-      return ParallelCrackInTwo(in.values.data(), in.ids.data(), lo, hi,
-                                pivot, pool, 4, /*min_parallel_piece=*/64);
+      return MorselCrackInTwo(in.values.data(), in.ids.data(), lo, hi, pivot,
+                              DetectSimdLevel(), &pool, 4);
     }
-    case CrackAlgo::kSimd: {
-      CrackScratch<int64_t> scratch;
-      return CrackInTwoSimd(in.values.data(), in.ids.data(), lo, hi, pivot,
-                            scratch);
-    }
+    case CrackAlgo::kSimd:
+      return MorselCrackInTwo(in.values.data(), in.ids.data(), lo, hi, pivot,
+                              DetectSimdLevel());
   }
   ADD_FAILURE() << "unknown CrackAlgo";
   return lo;
@@ -284,7 +280,9 @@ TEST_P(CrackAlgoBoundaryTest, AllEqualKeys) {
 }
 
 TEST_P(CrackAlgoBoundaryTest, PivotOutsideValueRange) {
-  const KernelInput original = MakeInput(4096, 1000, 23);
+  // Several morsels: a one-sided split leaves nothing to neutralize.
+  const KernelInput original =
+      MakeInput(2 * kCrackMorselRows + 4096, 1000, 23);
   KernelInput in = original;
   // Below every value: cut at lo, nothing qualifies as "< pivot".
   size_t cut = RunCrack(GetParam(), in, 0, in.values.size(), -7);

@@ -1,18 +1,22 @@
 /// Tests for the SIMD crack-in-two tier (crack_kernels_simd.h) and the
-/// morsel-driven parallel crack.
+/// morsel-wise crack every out-of-place tier runs (parallel_crack.h).
 ///
 /// The load-bearing property is *bit identity*: for every dispatch level the
 /// SIMD kernel must produce exactly the bytes CrackInTwoOutOfPlace produces
 /// (values compared with memcmp, so NaN payloads and -0.0 signs count), and
-/// the cut must equal the KeyTraits::Less count. That makes kSimd results
-/// deterministic across hosts and lets checksums ignore the ISA.
+/// the cut must equal the KeyTraits::Less count. Across morsels, the
+/// out-of-place, SIMD and parallel tiers must produce the same bytes at
+/// every level and thread count. That makes results deterministic across
+/// hosts and lets checksums ignore the ISA.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <thread>
@@ -61,7 +65,7 @@ void ExpectBitIdenticalToOutOfPlace(const std::vector<T>& values, size_t lo,
 
   std::vector<T> v_ref = values;
   std::vector<RowId> id_ref = ids;
-  CrackScratch<T> ref_scratch;
+  CrackScratch ref_scratch;
   const size_t cut_ref = CrackInTwoOutOfPlace(v_ref.data(), id_ref.data(), lo,
                                               hi, pivot, ref_scratch);
   size_t expected = lo;
@@ -73,7 +77,7 @@ void ExpectBitIdenticalToOutOfPlace(const std::vector<T>& values, size_t lo,
   for (const SimdLevel level : TestableLevels()) {
     std::vector<T> v = values;
     std::vector<RowId> id = ids;
-    CrackScratch<T> scratch;
+    CrackScratch scratch;
     const size_t cut =
         CrackInTwoSimd(v.data(), id.data(), lo, hi, pivot, scratch, level);
     ASSERT_EQ(cut, cut_ref) << "level=" << SimdLevelName(level) << " n="
@@ -105,6 +109,19 @@ TEST(SimdDispatch, ParsesLevelNames) {
   EXPECT_EQ(ParseSimdLevel("avx2"), SimdLevel::kAvx2);
   EXPECT_EQ(ParseSimdLevel("avx512"), SimdLevel::kAvx512);
   EXPECT_EQ(ParseSimdLevel("banana"), std::nullopt);
+}
+
+// A HOLIX_SIMD value ParseSimdLevel rejects is silently ignored by
+// DetectSimdLevel, so a run meant to clamp the level would run at the
+// hardware level instead. Fail such a run loudly.
+TEST(SimdDispatch, EnvOverrideIsRecognized) {
+  const char* env = std::getenv("HOLIX_SIMD");
+  if (env == nullptr) GTEST_SKIP() << "HOLIX_SIMD is not set";
+  const std::optional<SimdLevel> forced = ParseSimdLevel(env);
+  ASSERT_TRUE(forced.has_value())
+      << "HOLIX_SIMD=" << env << " is not a level name; use portable, "
+      << "avx2 or avx512";
+  EXPECT_LE(static_cast<int>(DetectSimdLevel()), static_cast<int>(*forced));
 }
 
 template <typename T>
@@ -218,7 +235,7 @@ TEST(SimdDoubleSpecials, NanPivotCutsBelowAllNans) {
   for (const SimdLevel level : TestableLevels()) {
     std::vector<double> v = values;
     std::vector<RowId> id = ids;
-    CrackScratch<double> scratch;
+    CrackScratch scratch;
     const size_t cut = CrackInTwoSimd(
         v.data(), id.data(), 0, v.size(),
         std::numeric_limits<double>::quiet_NaN(), scratch, level);
@@ -236,7 +253,7 @@ TEST(SimdDoubleSpecials, NegativeZeroPivotEqualsPositiveZeroPivot) {
     for (size_t i = 0; i < ids.size(); ++i) ids[i] = i;
     std::vector<double> v_pos = values, v_neg = values;
     std::vector<RowId> id_pos = ids, id_neg = ids;
-    CrackScratch<double> s1, s2;
+    CrackScratch s1, s2;
     const size_t cut_pos = CrackInTwoSimd(v_pos.data(), id_pos.data(), 0,
                                           v_pos.size(), 0.0, s1, level);
     const size_t cut_neg = CrackInTwoSimd(v_neg.data(), id_neg.data(), 0,
@@ -249,23 +266,27 @@ TEST(SimdDoubleSpecials, NegativeZeroPivotEqualsPositiveZeroPivot) {
 
 // --- Metrics -------------------------------------------------------------
 
-TEST(SimdMetrics, VectorCracksAreCounted) {
+TEST(SimdMetrics, VectorCracksAreCountedOncePerCrack) {
   if (static_cast<int>(DetectHardwareSimdLevel()) <
       static_cast<int>(SimdLevel::kAvx2)) {
     GTEST_SKIP() << "no vector tier on this host";
   }
   obs::Counter& ops = obs::MetricsRegistry::Global().GetCounter(
       "holix_crack_simd_ops_total");
-  const uint64_t before = ops.Value();
-  std::vector<int64_t> v = RandomKeys<int64_t>(4096, 77);
+  std::vector<int64_t> v = RandomKeys<int64_t>(3 * kCrackMorselRows + 7, 77);
   std::vector<RowId> ids(v.size());
   for (size_t i = 0; i < ids.size(); ++i) ids[i] = i;
-  CrackScratch<int64_t> scratch;
-  CrackInTwoSimd(v.data(), ids.data(), 0, v.size(), int64_t{100}, scratch);
-  EXPECT_GT(ops.Value(), before);
+  const uint64_t before = ops.Value();
+  MorselCrackInTwo(v.data(), ids.data(), 0, v.size(), int64_t{100},
+                   DetectHardwareSimdLevel());
+  // One crack over four morsels is one SIMD op, so simd ops / cracks <= 1.
+  EXPECT_EQ(ops.Value(), before + 1);
+  MorselCrackInTwo(v.data(), ids.data(), 0, v.size(), int64_t{100},
+                   SimdLevel::kPortable);
+  EXPECT_EQ(ops.Value(), before + 1);
 }
 
-// --- Morsel-driven parallel crack ----------------------------------------
+// --- Morsel-wise crack ------------------------------------------------------
 
 template <typename T>
 void CheckPartitioned(const std::vector<T>& original,
@@ -281,49 +302,142 @@ void CheckPartitioned(const std::vector<T>& original,
   // (value, rowid) pairs stay together: position i still holds the value
   // rowid ids[i] was loaded with.
   for (size_t i = 0; i < cracked.size(); ++i)
-    ASSERT_EQ(original[ids[i]], cracked[i]);
+    ASSERT_EQ(std::memcmp(&original[ids[i]], &cracked[i], sizeof(T)), 0) << i;
 }
 
-TEST(MorselParallelCrack, ManySmallMorselsMatchOracle) {
-  const size_t n = 60000;
-  for (const size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
-    for (const size_t morsel_rows : {size_t{64}, size_t{1000}, size_t{1} << 14}) {
-      ThreadPool pool(threads);
-      std::vector<int64_t> base = RandomKeys<int64_t>(n, threads * 131 + morsel_rows);
-      std::vector<int64_t> v = base;
-      std::vector<RowId> ids(n);
-      for (size_t i = 0; i < n; ++i) ids[i] = i;
-      ParallelCrackOptions opts;
-      opts.threads = threads;
-      opts.min_parallel_piece = 256;
-      opts.morsel_rows = morsel_rows;
-      const int64_t pivot = 123;
-      const size_t cut = ParallelCrackInTwo(v.data(), ids.data(), 0, n, pivot,
-                                            pool, opts);
-      size_t expected = 0;
-      for (const int64_t x : base) expected += x < pivot ? 1 : 0;
-      EXPECT_EQ(cut, expected)
-          << "threads=" << threads << " morsel_rows=" << morsel_rows;
-      CheckPartitioned<int64_t>(base, v, ids, 0, n, cut, pivot);
+/// Keys for the cross-tier tests; doubles carry NaN payloads, +-inf and
+/// -0.0 beside +0.0.
+template <typename T>
+std::vector<T> TierKeys(size_t n, uint64_t seed) {
+  if constexpr (std::is_same_v<T, double>) {
+    return SpecialsHeavyDoubles(n, seed);
+  } else {
+    return RandomKeys<T>(n, seed);
+  }
+}
+
+template <typename T>
+class MorselTierTest : public ::testing::Test {};
+TYPED_TEST_SUITE(MorselTierTest, KeyTypes);
+
+// A piece of several morsels plus a ragged tail: the out-of-place tier (the
+// portable level, in order), the SIMD tier at every level and the parallel
+// tier at 1-4 threads must leave the same bytes, for pivots that send none,
+// ~1%, ~50% and all (all ordered, for doubles) rows low.
+TYPED_TEST(MorselTierTest, TiersAreByteIdenticalAcrossMorsels) {
+  using T = TypeParam;
+  const size_t n = 5 * kCrackMorselRows + 13;
+  const std::vector<T> base = TierKeys<T>(n, 4242);
+  std::vector<T> ranked = base;
+  std::sort(ranked.begin(), ranked.end(),
+            [](T a, T b) { return KeyTraits<T>::Less(a, b); });
+  std::vector<RowId> base_ids(n);
+  for (size_t i = 0; i < n; ++i) base_ids[i] = 7 * i + 3;
+  ThreadPool pool(3);
+  for (const T pivot : {ranked[0], ranked[n / 100], ranked[n / 2],
+                        KeyTraits<T>::Highest()}) {
+    std::vector<T> v_ref = base;
+    std::vector<RowId> id_ref = base_ids;
+    const size_t cut_ref = MorselCrackInTwo(v_ref.data(), id_ref.data(), 0, n,
+                                            pivot, SimdLevel::kPortable);
+    size_t expected = 0;
+    for (const T x : base) expected += KeyTraits<T>::Less(x, pivot) ? 1 : 0;
+    ASSERT_EQ(cut_ref, expected);
+    std::vector<RowId> positions(n);
+    for (size_t i = 0; i < n; ++i) positions[i] = (id_ref[i] - 3) / 7;
+    CheckPartitioned<T>(base, v_ref, positions, 0, n, cut_ref, pivot);
+
+    for (const SimdLevel level : TestableLevels()) {
+      for (size_t threads = 1; threads <= 4; ++threads) {
+        std::vector<T> v = base;
+        std::vector<RowId> id = base_ids;
+        const size_t cut = MorselCrackInTwo(v.data(), id.data(), 0, n, pivot,
+                                            level, &pool, threads);
+        ASSERT_EQ(cut, cut_ref)
+            << SimdLevelName(level) << " threads=" << threads;
+        ASSERT_EQ(std::memcmp(v.data(), v_ref.data(), n * sizeof(T)), 0)
+            << SimdLevelName(level) << " threads=" << threads;
+        ASSERT_EQ(id, id_ref) << SimdLevelName(level) << " threads=" << threads;
+      }
     }
   }
 }
 
+// The same identity through CrackerColumn's Partition: every out-of-place
+// CrackAlgo leaves the same column bytes after the same refinements and
+// query. Each pivot splits a piece of several morsels.
+TYPED_TEST(MorselTierTest, CrackerColumnTiersAreByteIdentical) {
+  using T = TypeParam;
+  const size_t n = 5 * kCrackMorselRows + 13;
+  const std::vector<T> base = TierKeys<T>(n, 99);
+  std::vector<T> ranked = base;
+  std::sort(ranked.begin(), ranked.end(),
+            [](T a, T b) { return KeyTraits<T>::Less(a, b); });
+  ThreadPool pool(3);
+  auto run = [&](CrackAlgo algo, size_t threads) {
+    CrackerColumn<T> col("tiers", base);
+    CrackConfig cfg;
+    cfg.algo = algo;
+    cfg.pool = &pool;
+    cfg.parallel_threads = threads;
+    for (const size_t rank : {n / 2, n / 4, 3 * n / 4}) {
+      EXPECT_TRUE(col.TryRefineAt(ranked[rank], cfg)) << rank;
+    }
+    // Its bounds fall in two different pieces of more than one morsel.
+    col.SelectRange(ranked[n / 8], ranked[5 * n / 8], cfg);
+    EXPECT_TRUE(col.CheckInvariants());
+    std::vector<T> v(n);
+    std::vector<RowId> id(n);
+    for (size_t i = 0; i < n; ++i) {
+      v[i] = col.ValueAtUnsafe(i);
+      id[i] = col.RowIdAtUnsafe(i);
+    }
+    return std::make_pair(v, id);
+  };
+  const auto ref = run(CrackAlgo::kOutOfPlace, 1);
+  std::vector<std::pair<CrackAlgo, size_t>> tiers{{CrackAlgo::kSimd, 1}};
+  for (size_t threads = 1; threads <= 4; ++threads) {
+    tiers.push_back({CrackAlgo::kParallel, threads});
+  }
+  for (const auto& [algo, threads] : tiers) {
+    const auto got = run(algo, threads);
+    ASSERT_EQ(std::memcmp(got.first.data(), ref.first.data(), n * sizeof(T)),
+              0)
+        << CrackAlgoName(algo) << " threads=" << threads;
+    ASSERT_EQ(got.second, ref.second)
+        << CrackAlgoName(algo) << " threads=" << threads;
+  }
+}
+
+TEST(MorselParallelCrack, ManyMorselsMatchOracle) {
+  const size_t n = 20 * kCrackMorselRows + 77;
+  for (const size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
+    ThreadPool pool(threads);
+    std::vector<int64_t> base = RandomKeys<int64_t>(n, threads * 131);
+    std::vector<int64_t> v = base;
+    std::vector<RowId> ids(n);
+    for (size_t i = 0; i < n; ++i) ids[i] = i;
+    const int64_t pivot = 123;
+    const size_t cut = MorselCrackInTwo(v.data(), ids.data(), 0, n, pivot,
+                                        DetectSimdLevel(), &pool, threads);
+    size_t expected = 0;
+    for (const int64_t x : base) expected += x < pivot ? 1 : 0;
+    EXPECT_EQ(cut, expected) << "threads=" << threads;
+    CheckPartitioned<int64_t>(base, v, ids, 0, n, cut, pivot);
+  }
+}
+
 TEST(MorselParallelCrack, SubrangeWithDoubleSpecials) {
-  const size_t n = 40000;
+  const size_t n = 4 * kCrackMorselRows;
   ThreadPool pool(4);
   std::vector<double> base = SpecialsHeavyDoubles(n, 21);
   std::vector<double> v = base;
   std::vector<RowId> ids(n);
   for (size_t i = 0; i < n; ++i) ids[i] = i;
-  ParallelCrackOptions opts;
-  opts.threads = 4;
-  opts.min_parallel_piece = 256;
-  opts.morsel_rows = 500;
   const size_t lo = 1003, hi = n - 777;
   const double pivot = 0.0;
-  const size_t cut =
-      ParallelCrackInTwo(v.data(), ids.data(), lo, hi, pivot, pool, opts);
+  const size_t cut = MorselCrackInTwo(v.data(), ids.data(), lo, hi, pivot,
+                                      DetectSimdLevel(), &pool, 4);
   size_t expected = lo;
   for (size_t i = lo; i < hi; ++i)
     expected += KeyTraits<double>::Less(base[i], pivot) ? 1 : 0;
@@ -343,22 +457,64 @@ TEST(MorselParallelCrack, MorselMetricsAdvance) {
       "holix_crack_morsels_total");
   const uint64_t before = morsels.Value();
   ThreadPool pool(4);
-  const size_t n = 30000;
+  const size_t n = 8 * kCrackMorselRows;
   std::vector<int64_t> v = RandomKeys<int64_t>(n, 5);
   std::vector<RowId> ids(n);
   for (size_t i = 0; i < n; ++i) ids[i] = i;
-  ParallelCrackOptions opts;
-  opts.threads = 4;
-  opts.min_parallel_piece = 256;
-  opts.morsel_rows = 1000;
-  ParallelCrackInTwo(v.data(), ids.data(), 0, n, int64_t{0}, pool, opts);
-  EXPECT_GE(morsels.Value(), before + n / 1000);
+  MorselCrackInTwo(v.data(), ids.data(), 0, n, int64_t{0}, DetectSimdLevel(),
+                   &pool, 4);
+  EXPECT_EQ(morsels.Value(), before + 8);
+}
+
+// --- Bounded scratch -------------------------------------------------------
+
+// Every out-of-place tier cracks through one-morsel scratch: no thread's
+// scratch exceeds one morsel of 8-byte keys and rowids plus padding, however
+// large the piece, and a thread's scratch is released when it exits.
+TEST(CrackScratchBound, NoThreadExceedsOneMorselPlusPadding) {
+  constexpr double kPerThreadBound =
+      (kCrackMorselRows + 64) * (sizeof(int64_t) + sizeof(RowId));
+  obs::Gauge& live = obs::MetricsRegistry::Global().GetGauge(
+      "holix_crack_scratch_bytes");
+  const size_t n = size_t{1} << 20;
+  std::vector<int64_t> base(n);
+  Rng rng(8);
+  for (auto& x : base) x = static_cast<int64_t>(rng.Below(1u << 30));
+
+  for (const CrackAlgo algo :
+       {CrackAlgo::kOutOfPlace, CrackAlgo::kSimd, CrackAlgo::kParallel}) {
+    const double before = live.Value();
+    ThreadPool pool(3);
+    const size_t participants = algo == CrackAlgo::kParallel ? 4 : 1;
+    std::thread cracker([&] {
+      CrackerColumn<int64_t> col("bound", base);
+      CrackConfig cfg;
+      cfg.algo = algo;
+      cfg.pool = &pool;
+      cfg.parallel_threads = 4;
+      // Bisect the domain: the first crack splits all 2^20 rows, the
+      // smallest pieces cracked still span four morsels.
+      for (const int64_t eighth : {4, 2, 6, 1, 3, 5, 7}) {
+        ASSERT_TRUE(col.TryRefineAt(eighth << 27, cfg)) << eighth;
+        EXPECT_LE(static_cast<double>(ThreadLocalCrackScratch().bytes()),
+                  kPerThreadBound)
+            << CrackAlgoName(algo);
+        EXPECT_LE(live.Value() - before, participants * kPerThreadBound)
+            << CrackAlgoName(algo);
+      }
+      EXPECT_GT(ThreadLocalCrackScratch().bytes(), 0u) << CrackAlgoName(algo);
+    });
+    cracker.join();
+    // The cracking thread has exited: its scratch is gone from the gauge.
+    EXPECT_LE(live.Value() - before, (participants - 1) * kPerThreadBound)
+        << CrackAlgoName(algo);
+  }
 }
 
 // --- Morsel cracks racing holistic-style refinement (TSan target) --------
 
 TEST(MorselRace, ParallelSelectsRaceWorkerRefinement) {
-  const size_t n = 120000;
+  const size_t n = size_t{1} << 19;
   Rng rng(1907);
   std::vector<int64_t> base(n);
   for (size_t i = 0; i < n; ++i)
@@ -370,8 +526,6 @@ TEST(MorselRace, ParallelSelectsRaceWorkerRefinement) {
   select_cfg.algo = CrackAlgo::kParallel;
   select_cfg.pool = &crack_pool;
   select_cfg.parallel_threads = 4;
-  select_cfg.min_parallel_piece = 1024;
-  select_cfg.morsel_rows = 2048;
 
   std::atomic<bool> stop{false};
   std::thread refiner([&] {

@@ -235,7 +235,9 @@ TEST(Database, MultiClientHolisticConsistency) {
 TEST(Database, OnlineWindowClosesOnRowIdAndConjunctionQueries) {
   // Every access is one observed query of the online (COLT-style) mode,
   // whatever its result shape: once the window closes, rowid selects and
-  // conjunctions build and use the sorted index instead of scanning.
+  // conjunctions build and use the sorted index instead of scanning. The
+  // window is per column: `b`, first queried after `a`'s window closed,
+  // still scans for its own window before it is sorted.
   DatabaseOptions opts;
   opts.mode = ExecMode::kOnline;
   opts.user_threads = 2;
@@ -256,7 +258,7 @@ TEST(Database, OnlineWindowClosesOnRowIdAndConjunctionQueries) {
     }
     return rows;
   };
-  for (int q = 0; q < 4; ++q) {
+  for (int q = 0; q < 6; ++q) {
     const int64_t lo = 1000 * (q + 1);
     const int64_t hi = lo + kDomain / 3;
     const bool conj = q >= 2;
@@ -266,9 +268,12 @@ TEST(Database, OnlineWindowClosesOnRowIdAndConjunctionQueries) {
     PositionList rows = db.Execute(spec.RowIds()).rowids;
     std::sort(rows.begin(), rows.end());
     EXPECT_EQ(rows, naive_rows(lo, hi, conj)) << "query " << q;
+    // `a` is accessed by every query, `b` from the third one on.
+    EXPECT_EQ(ha.entry()->runtime<int64_t>().sorted.load() != nullptr, q >= 2)
+        << "query " << q;
+    EXPECT_EQ(hb.entry()->runtime<int64_t>().sorted.load() != nullptr, q >= 4)
+        << "query " << q;
   }
-  EXPECT_NE(ha.entry()->runtime<int64_t>().sorted.load(), nullptr);
-  EXPECT_NE(hb.entry()->runtime<int64_t>().sorted.load(), nullptr);
 }
 
 TEST(Database, OfflinePrepareSortsAllColumns) {
