@@ -12,7 +12,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "storage/column.h"
 #include "storage/position_list.h"
 #include "storage/types.h"
 #include "util/thread_pool.h"

@@ -1,18 +1,22 @@
 /// \file column_registry.h
-/// \brief Name resolution and per-column runtime state for the query engine.
+/// \brief The engine's one name map: (table, column) -> the entry that owns
+/// the attribute's base data and its per-column runtime state.
 ///
-/// The registry resolves `(table, column)` ONCE into a cheap, copyable
-/// ColumnHandle; every later query through the handle touches no global
-/// mutex and hashes no strings. Lookups go through an RCU-style snapshot:
-/// readers atomically load a `shared_ptr` to an immutable name->entry map,
-/// while mutations (LoadColumn, DropTable) build a new map under a writer
-/// mutex and swap it in. Entries themselves are stable heap objects, so a
-/// resolved handle stays valid across snapshot swaps; dropping a table
-/// flips the entry's `dropped` flag, which executors check before touching
-/// base data.
+/// The store is DSM (§3.1): one dense array per attribute, the i-th value
+/// of every array of a table belonging to tuple i. Each ColumnEntry owns
+/// its array; there is no separate catalog. The registry resolves
+/// `(table, column)` ONCE into a cheap, copyable ColumnHandle; every later
+/// query through the handle touches no global mutex and hashes no strings.
+/// Lookups go through an RCU-style snapshot: readers atomically load a
+/// `shared_ptr` to an immutable name->entry map, while mutations
+/// (LoadColumn, DropTable) build a new map under a writer mutex and swap it
+/// in. Entries themselves are stable heap objects, so a resolved handle
+/// stays valid across snapshot swaps; dropping a table flips the entry's
+/// `dropped` flag, which executors check before touching base data, and
+/// frees the base array.
 ///
 /// Each entry carries the *typed* runtime of its attribute — the base
-/// Column<T> plus lazily built CrackerColumn<T> / SortedIndex<T>, published
+/// array plus lazily built CrackerColumn<T> / SortedIndex<T>, published
 /// through atomic shared_ptr slots — which is what makes the engine layer
 /// generic over the element type (int32_t, int64_t and double; doubles
 /// order through the KeyTraits<double> total order).
@@ -32,7 +36,6 @@
 #include "baselines/sorted_index.h"
 #include "cracking/cracker_column.h"
 #include "holistic/adaptive_index.h"
-#include "storage/column.h"
 #include "storage/types.h"
 
 namespace holix {
@@ -52,8 +55,10 @@ enum class StoreState : uint8_t {
 /// reads them lock-free; construction serializes on the entry's build_mu.
 template <typename T>
 struct TypedColumnRuntime {
-  /// Base column (owned by the catalog; stable for the table's lifetime).
-  const Column<T>* base = nullptr;
+  /// Base data: the attribute's dense array, owned here. Set once by
+  /// ColumnRegistry::Add and immutable until DropTable frees it (updates go
+  /// to the cracker's pending queues, never to the base).
+  std::vector<T> base;
 
   /// Adaptive (cracked) index; null until first cracked access.
   std::atomic<std::shared_ptr<CrackerColumn<T>>> cracker{};
@@ -118,20 +123,29 @@ class ColumnEntry {
   /// (storage-budget eviction, table drop). Queries holding the old
   /// shared_ptr finish safely; the next access rebuilds.
   void ResetIndexRuntime() {
-    if (rt32_) {
-      rt32_->cracker.store(nullptr, std::memory_order_release);
-      rt32_->sorted.store(nullptr, std::memory_order_release);
-    }
-    if (rt64_) {
-      rt64_->cracker.store(nullptr, std::memory_order_release);
-      rt64_->sorted.store(nullptr, std::memory_order_release);
-    }
-    if (rtf64_) {
-      rtf64_->cracker.store(nullptr, std::memory_order_release);
-      rtf64_->sorted.store(nullptr, std::memory_order_release);
-    }
+    DispatchIndexableType(type_, [this](auto tag) {
+      auto& r = runtime<typename decltype(tag)::type>();
+      r.cracker.store(nullptr, std::memory_order_release);
+      r.sorted.store(nullptr, std::memory_order_release);
+    });
     adapter.store(nullptr, std::memory_order_release);
     store_state.store(StoreState::kUnregistered, std::memory_order_release);
+  }
+
+  /// Number of base rows (0 once DropTable has freed the base).
+  size_t base_rows() {
+    return DispatchIndexableType(type_, [this](auto tag) {
+      return runtime<typename decltype(tag)::type>().base.size();
+    });
+  }
+
+  /// Frees the base array (table drop). Callers have quiesced queries on
+  /// the table, and `dropped` is already set, so no executor reads it.
+  void ReleaseBase() {
+    DispatchIndexableType(type_, [this](auto tag) {
+      std::vector<typename decltype(tag)::type>().swap(
+          runtime<typename decltype(tag)::type>().base);
+    });
   }
 
   /// Serializes slow-path index construction for this attribute only.
@@ -204,24 +218,31 @@ class ColumnRegistry {
     return table + "." + column;
   }
 
-  /// Registers attribute (table, column) backed by \p base. Replaces a
-  /// previously dropped entry; re-registering a live attribute throws.
+  /// Registers attribute (table, column) and moves \p base into its entry.
+  /// The names of a dropped table are free again. Throws
+  /// std::invalid_argument when the attribute is already registered or
+  /// when \p base's length differs from the other columns of \p table.
   template <typename T>
   ColumnHandle Add(const std::string& table, const std::string& column,
-                   const Column<T>* base) {
+                   std::vector<T> base) {
     auto entry =
         std::make_shared<ColumnEntry>(table, column, ValueTypeOf<T>::value);
-    entry->template runtime<T>().base = base;
+    const size_t rows = base.size();
+    entry->template runtime<T>().base = std::move(base);
     std::lock_guard<std::mutex> lk(mutate_mu_);
-    auto next = std::make_shared<Snapshot>(*snapshot_.load());
-    auto [it, inserted] = next->emplace(entry->key(), entry);
-    if (!inserted) {
-      if (!it->second->dropped.load(std::memory_order_acquire)) {
-        throw std::invalid_argument("column already registered: " +
-                                    entry->key());
-      }
-      it->second = entry;
+    const auto snap = snapshot_.load();
+    if (snap->count(entry->key()) != 0) {
+      throw std::invalid_argument("column already registered: " +
+                                  entry->key());
     }
+    for (const auto& [_, other] : *snap) {
+      if (other->table() == table && other->base_rows() != rows) {
+        throw std::invalid_argument("column length mismatch in table " +
+                                    table);
+      }
+    }
+    auto next = std::make_shared<Snapshot>(*snap);
+    next->emplace(entry->key(), entry);
     snapshot_.store(std::shared_ptr<const Snapshot>(std::move(next)),
                     std::memory_order_release);
     return ColumnHandle(std::move(entry));
@@ -274,8 +295,9 @@ class ColumnRegistry {
     return removed;
   }
 
-  /// Applies \p fn to every live entry (snapshot iteration; entries added
-  /// or dropped concurrently may be missed — statistics use only).
+  /// Applies \p fn to every entry of one snapshot (one atomic load), so
+  /// the walk is consistent: a concurrent Add or DropTable is either wholly
+  /// in it or wholly out.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     const auto snap = snapshot_.load(std::memory_order_acquire);

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <thread>
 #include <tuple>
+#include <unordered_map>
 
 #include "engine/scalar_convert.h"
 
@@ -130,12 +131,14 @@ void Database::RaiseRowIdFloor(uint64_t rows) {
 }
 
 void Database::DropTable(const std::string& table) {
-  const auto dropped = registry_.DropTable(table);
-  for (const auto& entry : dropped) {
+  // Unique barrier: a checkpoint's state export never reads a base array
+  // while it is being freed.
+  std::unique_lock<std::shared_mutex> barrier(update_barrier_);
+  for (const auto& entry : registry_.DropTable(table)) {
     if (holistic_ != nullptr) holistic_->store().Remove(entry->key());
     entry->ResetIndexRuntime();
+    entry->ReleaseBase();
   }
-  catalog_.DropTable(table);
 }
 
 Session Database::OpenSession(SessionOptions options) {
@@ -215,20 +218,7 @@ DurableDatabaseState Database::ExportDurableState(
   std::unique_lock<std::shared_mutex> barrier(update_barrier_);
   DurableDatabaseState st;
   st.next_rowid = next_insert_rowid_.load(std::memory_order_relaxed);
-  for (const std::string& name : catalog_.TableNames()) {
-    const Table& t = catalog_.GetTable(name);
-    DurableTableState ts;
-    ts.name = name;
-    ts.base_rows = t.num_rows();
-    ts.columns = t.ColumnNames();
-    st.tables.push_back(std::move(ts));
-  }
-  std::sort(st.tables.begin(), st.tables.end(),
-            [](const DurableTableState& a, const DurableTableState& b) {
-              return a.name < b.name;
-            });
   registry_.ForEach([&](ColumnEntry& e) {
-    if (e.dropped.load(std::memory_order_acquire)) return;
     DispatchIndexableType(e.type(), [&](auto tag) {
       using T = typename decltype(tag)::type;
       using KT = KeyTraits<T>;
@@ -237,9 +227,8 @@ DurableDatabaseState Database::ExportDurableState(
       cs.table = e.table();
       cs.column = e.column();
       cs.type = e.type();
-      const std::vector<T>& base = rt.base->values();
-      cs.base_ranks.reserve(base.size());
-      for (const T& v : base) cs.base_ranks.push_back(KT::ToRank(v));
+      cs.base_ranks.reserve(rt.base.size());
+      for (const T& v : rt.base) cs.base_ranks.push_back(KT::ToRank(v));
       if (auto cracker = rt.cracker.load(std::memory_order_acquire)) {
         // Drain the queues into the cracker first, so the appended /
         // deleted-base registries carry the column's full update history
@@ -275,48 +264,64 @@ DurableDatabaseState Database::ExportDurableState(
               return std::tie(a.table, a.column) <
                      std::tie(b.table, b.column);
             });
+  // Tables come from the same snapshot: one per run of equal table names.
+  for (const DurableColumnState& cs : st.columns) {
+    if (st.tables.empty() || st.tables.back().name != cs.table) {
+      st.tables.push_back({cs.table, cs.base_ranks.size(), {}});
+    }
+    st.tables.back().columns.push_back(cs.column);
+  }
   if (under_barrier) under_barrier();
   return st;
 }
 
 void Database::BeginRestore(const DurableDatabaseState& state) {
-  if (!catalog_.TableNames().empty()) {
+  if (registry_.size() != 0) {
     throw std::logic_error("BeginRestore requires an empty database");
   }
-  // Base columns, in each table's storage order.
+  // The manifest and the column images must agree before anything loads:
+  // each listed column has one image, holding its table's base_rows rows.
+  std::unordered_map<std::string, uint64_t> unmatched;  // key -> base_rows
   for (const DurableTableState& ts : state.tables) {
     for (const std::string& cname : ts.columns) {
-      const DurableColumnState* cs = nullptr;
-      for (const DurableColumnState& c : state.columns) {
-        if (c.table == ts.name && c.column == cname) {
-          cs = &c;
-          break;
-        }
-      }
-      if (cs == nullptr) {
-        throw std::runtime_error("snapshot misses column " + ts.name + "." +
-                                 cname);
-      }
-      DispatchIndexableType(cs->type, [&](auto tag) {
-        using T = typename decltype(tag)::type;
-        std::vector<T> vals;
-        vals.reserve(cs->base_ranks.size());
-        for (uint64_t r : cs->base_ranks) {
-          vals.push_back(KeyTraits<T>::FromRank(r));
-        }
-        LoadColumn<T>(cs->table, cs->column, std::move(vals));
-      });
+      unmatched.emplace(ColumnRegistry::Key(ts.name, cname), ts.base_rows);
     }
   }
-  // The checkpointed update history re-enters through the pending queues;
-  // FinishRestore merges it after WAL replay has stacked the tail on top.
   for (const DurableColumnState& cs : state.columns) {
-    if (!cs.has_cracker && cs.appended.empty() && cs.deleted_base.empty()) {
-      continue;
+    const std::string key = ColumnRegistry::Key(cs.table, cs.column);
+    const auto it = unmatched.find(key);
+    if (it == unmatched.end()) {
+      throw std::runtime_error("snapshot column " + key +
+                               " is listed by no table");
     }
-    ColumnHandle h = registry_.Resolve(cs.table, cs.column);
+    if (cs.base_ranks.size() != it->second) {
+      throw std::runtime_error(
+          "snapshot column " + key + " has " +
+          std::to_string(cs.base_ranks.size()) + " rows, its table lists " +
+          std::to_string(it->second));
+    }
+    unmatched.erase(it);
+  }
+  if (!unmatched.empty()) {
+    throw std::runtime_error("snapshot misses column " +
+                             unmatched.begin()->first);
+  }
+  for (const DurableColumnState& cs : state.columns) {
     DispatchIndexableType(cs.type, [&](auto tag) {
       using T = typename decltype(tag)::type;
+      std::vector<T> vals;
+      vals.reserve(cs.base_ranks.size());
+      for (uint64_t r : cs.base_ranks) {
+        vals.push_back(KeyTraits<T>::FromRank(r));
+      }
+      LoadColumn<T>(cs.table, cs.column, std::move(vals));
+      // The checkpointed update history re-enters through the pending
+      // queues; FinishRestore merges it after WAL replay has stacked the
+      // tail on top.
+      if (!cs.has_cracker && cs.appended.empty() && cs.deleted_base.empty()) {
+        return;
+      }
+      ColumnHandle h = registry_.Resolve(cs.table, cs.column);
       auto cracker = EnsureRestoredCracker<T>(*h.entry());
       for (const auto& [rid, rank] : cs.appended) {
         cracker->pending().AddInsert(KeyTraits<T>::FromRank(rank), rid);
@@ -392,7 +397,7 @@ void Database::FinishRestore(const DurableDatabaseState& state) {
         }
         pivots.push_back(w);
       }
-      cracker->RestorePieces(pivots, rt.base->values(), pool.get());
+      cracker->RestorePieces(pivots, rt.base, pool.get());
       // Life counters restore LAST: the bulk merge above ticked them.
       CrackStats& s = cracker->stats();
       s.accesses.store(cs.stats[0], std::memory_order_relaxed);

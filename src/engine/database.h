@@ -46,7 +46,6 @@
 #include "engine/query_executor.h"
 #include "engine/session.h"
 #include "holistic/holistic_engine.h"
-#include "storage/catalog.h"
 #include "util/thread_pool.h"
 
 namespace holix {
@@ -60,20 +59,18 @@ class Database {
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
-  /// Schema and base data.
-  Catalog& catalog() { return catalog_; }
-
-  /// Creates table \p table (if needed) and adds a typed column. Every
+  /// Adds a typed column to \p table (a table exists while it has
+  /// columns); the registry entry takes \p data over without a copy. Every
   /// supported element type (int32_t, int64_t, double) is indexable and
   /// queryable through the facade; doubles order through the
-  /// KeyTraits<double> total order (NaN above +inf, -0.0 == +0.0).
+  /// KeyTraits<double> total order (NaN above +inf, -0.0 == +0.0). Throws
+  /// std::invalid_argument for a duplicate column or a length that differs
+  /// from the table's other columns.
   template <typename T>
   void LoadColumn(const std::string& table, const std::string& column,
                   std::vector<T> data) {
-    Table& t = catalog_.CreateTable(table);
     const size_t rows = data.size();
-    Column<T>& stored = t.AddColumn<T>(column, std::move(data));
-    registry_.Add<T>(table, column, &stored);
+    registry_.Add<T>(table, column, std::move(data));
     RaiseRowIdFloor(rows);
   }
 
@@ -84,9 +81,10 @@ class Database {
   }
 
   /// Drops \p table: its attributes leave the registry and the holistic
-  /// store, and outstanding handles turn invalid (queries through them
-  /// throw). Callers must quiesce in-flight queries on the table first, as
-  /// with any DDL.
+  /// store, their base data is freed, and outstanding handles turn invalid
+  /// (queries through them throw). Dropping an unknown table is a no-op.
+  /// Callers must quiesce in-flight queries on the table first, as with
+  /// any DDL.
   void DropTable(const std::string& table);
 
   /// Resolves an attribute to a handle for the hot query path. Resolve
@@ -164,7 +162,10 @@ class Database {
   /// Recovery step 1: recreates tables and base columns from \p state into
   /// this (empty) database and queues the checkpointed appended /
   /// deleted-base registries as pending updates. Throws std::logic_error
-  /// when the database already holds tables.
+  /// when the database already holds tables, and std::runtime_error (before
+  /// loading anything) when the manifest and the column images disagree: a
+  /// listed column without an image, an image no table lists, or an image
+  /// whose row count differs from its table's base_rows.
   void BeginRestore(const DurableDatabaseState& state);
 
   /// Recovery step 2 (per WAL record): re-applies a logged insert exactly —
@@ -233,7 +234,6 @@ class Database {
                          uint64_t rank, RowId rid);
 
   DatabaseOptions options_;
-  Catalog catalog_;
   ColumnRegistry registry_;
   std::unique_ptr<ThreadPool> query_pool_;
   std::unique_ptr<HolisticEngine> holistic_;

@@ -62,11 +62,12 @@ struct DurableColumnState {
   uint8_t store_state = 0;
 };
 
-/// Checkpointed table shape (column order matters for restore).
+/// Checkpointed table shape. Restore checks every listed column against
+/// its image: each must exist and hold exactly base_rows rows.
 struct DurableTableState {
   std::string name;
   uint64_t base_rows = 0;
-  std::vector<std::string> columns;  // in storage order
+  std::vector<std::string> columns;  // in column-name order
 };
 
 /// Everything a checkpoint captures and a recovery restores.

@@ -316,7 +316,7 @@ class ExecutorBase : public QueryExecutor {
   template <typename T>
   size_t Count(ColumnEntry& e, const KeyRange<T>& r, const Hit<T>& hit) const {
     if (hit.cracker || hit.sorted) return hit.range.size();
-    const Column<T>& base = *e.runtime<T>().base;
+    const std::vector<T>& base = e.runtime<T>().base;
     return ParallelScanCount(base.data(), base.size(), r.lo, r.hi,
                              *ctx_.query_pool, ctx_.options->user_threads);
   }
@@ -326,7 +326,7 @@ class ExecutorBase : public QueryExecutor {
                       const Hit<T>& hit) const {
     if (hit.cracker) return hit.cracker->FetchRowIds(hit.range);
     if (hit.sorted) return hit.sorted->FetchRowIds(hit.range);
-    const Column<T>& base = *e.runtime<T>().base;
+    const std::vector<T>& base = e.runtime<T>().base;
     return ParallelScanSelect(base.data(), base.size(), r.lo, r.hi,
                               *ctx_.query_pool, ctx_.options->user_threads);
   }
@@ -344,7 +344,7 @@ class ExecutorBase : public QueryExecutor {
         fn(hit.sorted->ValueAt(i), hit.sorted->RowIdAt(i));
       }
     } else {
-      const Column<T>& base = *e.runtime<T>().base;
+      const std::vector<T>& base = e.runtime<T>().base;
       const T* data = base.data();
       for (size_t i = 0; i < base.size(); ++i) {
         if (r.Contains(data[i])) fn(data[i], static_cast<RowId>(i));
@@ -384,7 +384,7 @@ class ExecutorBase : public QueryExecutor {
                           ForEachRowId&& for_each_rowid) const {
     return DispatchIndexableType(pe.type(), [&](auto tag) -> KeyScalar {
       using P = typename decltype(tag)::type;
-      const Column<P>& proj = *pe.runtime<P>().base;
+      const std::vector<P>& proj = pe.runtime<P>().base;
       const size_t n = proj.size();
       typename KeyTraits<P>::Sum sum = 0;
       for_each_rowid([&](RowId rid) {
@@ -438,7 +438,7 @@ class ExecutorBase : public QueryExecutor {
     if (auto s = rt.sorted.load(std::memory_order_acquire)) return s;
     std::lock_guard<std::mutex> lk(e.build_mu);
     if (auto s = rt.sorted.load(std::memory_order_acquire)) return s;
-    auto fresh = std::make_shared<SortedIndex<T>>(e.key(), rt.base->values(),
+    auto fresh = std::make_shared<SortedIndex<T>>(e.key(), rt.base,
                                                   *ctx_.query_pool);
     rt.sorted.store(fresh, std::memory_order_release);
     return fresh;
@@ -528,7 +528,7 @@ class ExecutorBase : public QueryExecutor {
       if (auto s = rt.sorted.load(std::memory_order_acquire)) {
         return s->SelectRange(range->lo, range->hi).size();
       }
-      const size_t n = rt.base->size();
+      const size_t n = rt.base.size();
       if (n == 0) return 0;
       EnsureDomain<T>(e);
       // Uniform interpolation over the order-preserving rank space; the
@@ -558,7 +558,7 @@ class ExecutorBase : public QueryExecutor {
     if (rt.domain_ready.load(std::memory_order_acquire)) return;
     std::lock_guard<std::mutex> lk(e.build_mu);
     if (rt.domain_ready.load(std::memory_order_relaxed)) return;
-    const std::vector<T>& v = rt.base->values();
+    const std::vector<T>& v = rt.base;
     T mn{}, mx{};
     if (!v.empty()) {
       auto [mn_it, mx_it] = std::minmax_element(
@@ -603,7 +603,7 @@ class ExecutorBase : public QueryExecutor {
         return;
       }
       self().Access(e, *range, qctx);
-      const Column<T>& base = *e.runtime<T>().base;
+      const std::vector<T>& base = e.runtime<T>().base;
       const T* data = base.data();
       const size_t n = base.size();
       size_t keep = 0;
@@ -823,7 +823,7 @@ class CrackingExecutor : public ExecutorBase<CrackingExecutor> {
     if (auto c = rt.cracker.load(std::memory_order_acquire)) return c;
     // This copy is the investment the first query on an attribute pays in
     // adaptive indexing. Per-entry mutex: other attributes stay queryable.
-    auto fresh = std::make_shared<CrackerColumn<T>>(e.key(), rt.base->values());
+    auto fresh = std::make_shared<CrackerColumn<T>>(e.key(), rt.base);
     rt.cracker.store(fresh, std::memory_order_release);
     OnCrackerInstalled(e, qctx);
     return fresh;
@@ -890,7 +890,7 @@ class HolisticExecutor : public CrackingExecutor {
       auto cracker = rt.cracker.load(std::memory_order_acquire);
       if (cracker == nullptr) {
         cracker =
-            std::make_shared<CrackerColumn<T>>(e.key(), rt.base->values());
+            std::make_shared<CrackerColumn<T>>(e.key(), rt.base);
         rt.cracker.store(cracker, std::memory_order_release);
       }
       auto adapter =

@@ -1,17 +1,11 @@
 // Anchor translation unit for the header-only storage library; also hosts
 // out-of-line definitions if storage ever grows non-template code.
-#include "storage/catalog.h"
-#include "storage/column.h"
 #include "storage/pending_updates.h"
 #include "storage/position_list.h"
-#include "storage/table.h"
 #include "storage/types.h"
 
 namespace holix {
 // Explicit instantiations keep common template code out of every TU.
-template class Column<int32_t>;
-template class Column<int64_t>;
-template class Column<double>;
 template class PendingUpdates<int32_t>;
 template class PendingUpdates<int64_t>;
 }  // namespace holix

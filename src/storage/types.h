@@ -37,19 +37,6 @@ inline const char* ValueTypeName(ValueType t) {
   return "?";
 }
 
-/// Size in bytes of one value of type \p t.
-inline size_t ValueTypeSize(ValueType t) {
-  switch (t) {
-    case ValueType::kInt32:
-      return 4;
-    case ValueType::kInt64:
-      return 8;
-    case ValueType::kDouble:
-      return 8;
-  }
-  return 0;
-}
-
 /// Maps a C++ type to its ValueType tag.
 template <typename T>
 struct ValueTypeOf;

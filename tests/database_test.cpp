@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "engine/database.h"
 #include "harness/runner.h"
@@ -290,6 +294,180 @@ TEST(Database, OfflinePrepareSortsAllColumns) {
             NaiveCount(a, 100, 90000));
   EXPECT_EQ(CountOf(db, db.Resolve("r", "b"), 100, 90000),
             NaiveCount(b, 100, 90000));
+}
+
+// --- Schema: the registry is the one owner of base data ------------------
+//
+// A table exists while it has columns; every column of a table has the
+// same length; ColumnRegistry::Add enforces both.
+
+DatabaseOptions SchemaOptions() {
+  DatabaseOptions opts;
+  opts.mode = ExecMode::kAdaptive;
+  opts.user_threads = 1;
+  opts.total_cores = 1;
+  return opts;
+}
+
+TEST(DatabaseSchema, LoadMovesBaseIntoEntry) {
+  Database db(SchemaOptions());
+  std::vector<int64_t> data = {1, 2, 3};
+  const int64_t* payload = data.data();
+  db.LoadColumn("r", "a", std::move(data));
+  const ColumnHandle h = db.Resolve("r", "a");
+  EXPECT_EQ(h.type(), ValueType::kInt64);
+  EXPECT_EQ(h.key(), "r.a");
+  const std::vector<int64_t>& base = h.entry()->runtime<int64_t>().base;
+  EXPECT_EQ(base.data(), payload);  // taken over, not copied
+  EXPECT_EQ(base, (std::vector<int64_t>{1, 2, 3}));
+  EXPECT_EQ(h.entry()->base_rows(), 3u);
+}
+
+TEST(DatabaseSchema, AddAndResolveColumns) {
+  Database db(SchemaOptions());
+  db.LoadColumn("r", "b", {4, 5, 6});
+  db.LoadColumn("r", "a", {1, 2, 3});
+  const Database& cdb = db;
+  EXPECT_EQ(cdb.registry().size(), 2u);
+  EXPECT_EQ(CountOf(db, cdb.registry().Resolve("r", "b"), 4, 5), 1u);
+  const DurableDatabaseState st = db.ExportDurableState();
+  ASSERT_EQ(st.tables.size(), 1u);
+  EXPECT_EQ(st.tables[0].name, "r");
+  EXPECT_EQ(st.tables[0].base_rows, 3u);
+  // Column-name order, whatever the load order.
+  EXPECT_EQ(st.tables[0].columns, (std::vector<std::string>{"a", "b"}));
+}
+
+TEST(DatabaseSchema, LengthMismatchThrows) {
+  Database db(SchemaOptions());
+  db.LoadColumn("r", "a", {1, 2, 3});
+  EXPECT_THROW(db.LoadColumn("r", "b", {1, 2}), std::invalid_argument);
+  EXPECT_FALSE(db.registry().TryResolve("r", "b").valid());
+  EXPECT_EQ(db.registry().size(), 1u);
+  db.LoadColumn("q", "b", {1, 2});  // another table may differ
+  EXPECT_EQ(CountOf(db, db.Resolve("r", "a"), 0, 10), 3u);
+}
+
+TEST(DatabaseSchema, DuplicateColumnThrows) {
+  Database db(SchemaOptions());
+  db.LoadColumn("r", "a", {1});
+  EXPECT_THROW(db.LoadColumn("r", "a", {2}), std::invalid_argument);
+  EXPECT_EQ(CountOf(db, db.Resolve("r", "a"), 1, 2), 1u);
+}
+
+TEST(DatabaseSchema, MissingColumnThrows) {
+  Database db(SchemaOptions());
+  EXPECT_THROW(db.Resolve("r", "nope"), std::out_of_range);
+  db.LoadColumn("r", "a", {1});
+  EXPECT_THROW(db.Resolve("r", "nope"), std::out_of_range);
+  EXPECT_THROW(db.Resolve("q", "a"), std::out_of_range);
+  EXPECT_EQ(db.registry().TryResolve("r", "nope").entry(), nullptr);
+}
+
+TEST(DatabaseSchema, WrongTypeThrows) {
+  Database db(SchemaOptions());
+  db.LoadColumn("r", "a", {1});
+  EXPECT_THROW(db.ApplyLoggedInsert("r", "a", ValueType::kInt32, 0, 1),
+               std::runtime_error);
+}
+
+TEST(DatabaseSchema, MixedTypesInOneTable) {
+  Database db(SchemaOptions());
+  db.LoadColumn("r", "a", {1, 2});
+  db.LoadColumn<double>("r", "d", {0.5, 1.5});
+  db.LoadColumn<int32_t>("r", "i", {7, 8});
+  const ColumnHandle d = db.Resolve("r", "d");
+  EXPECT_EQ(d.type(), ValueType::kDouble);
+  EXPECT_EQ(db.Resolve("r", "i").type(), ValueType::kInt32);
+  EXPECT_EQ(d.entry()->runtime<double>().base[1], 1.5);
+  EXPECT_EQ(SumOf(db, d, 0.0, 2.0), KeyScalar::F64(2.0));
+  EXPECT_THROW(db.LoadColumn<double>("r", "e", {0.5}), std::invalid_argument);
+}
+
+TEST(DatabaseSchema, ReloadAfterDropTable) {
+  Database db(SchemaOptions());
+  db.LoadColumn("r", "a", {1, 2, 3});
+  db.LoadColumn("r", "b", {4, 5, 6});
+  db.LoadColumn("q", "a", {9});
+  const ColumnHandle stale = db.Resolve("r", "a");
+  db.DropTable("r");
+  EXPECT_FALSE(stale.valid());
+  EXPECT_EQ(stale.entry()->base_rows(), 0u);  // the stale handle holds no data
+  EXPECT_EQ(db.registry().size(), 1u);
+  EXPECT_THROW(db.Resolve("r", "b"), std::out_of_range);
+  // The names are free again, at any length.
+  db.LoadColumn("r", "a", {10, 20});
+  db.LoadColumn("r", "b", {30, 40});
+  EXPECT_EQ(CountOf(db, db.Resolve("r", "a"), 0, 100), 2u);
+  EXPECT_EQ(CountOf(db, db.Resolve("q", "a"), 0, 100), 1u);
+  const DurableDatabaseState st = db.ExportDurableState();
+  ASSERT_EQ(st.tables.size(), 2u);
+  EXPECT_EQ(st.tables[0].name, "q");
+  EXPECT_EQ(st.tables[1].name, "r");
+  EXPECT_EQ(st.tables[1].base_rows, 2u);
+}
+
+TEST(DatabaseSchema, DropUnknownTableIsNoOp) {
+  Database db(SchemaOptions());
+  db.DropTable("r");
+  db.LoadColumn("r", "a", {1});
+  db.DropTable("q");
+  EXPECT_EQ(db.registry().size(), 1u);
+  db.DropTable("r");
+  db.DropTable("r");
+  EXPECT_EQ(db.registry().size(), 0u);
+}
+
+// Three loaders each fill their own table while the main thread exports
+// the durable state in a loop (4 threads in all). Every export must list
+// only columns it also carries a state for, and every table must end up
+// resolvable.
+TEST(DatabaseSchema, ConcurrentLoadsAndExports) {
+  Database db(SchemaOptions());
+  constexpr int kLoaders = 3;
+  constexpr int kColumns = 40;
+  std::atomic<int> done{0};
+  std::vector<std::thread> loaders;
+  for (int t = 0; t < kLoaders; ++t) {
+    loaders.emplace_back([&db, &done, t] {
+      const std::string table = "t" + std::to_string(t);
+      for (int c = 0; c < kColumns; ++c) {
+        db.LoadColumn(table, "c" + std::to_string(c),
+                      std::vector<int64_t>(64 + t, c));
+      }
+      done.fetch_add(1);
+    });
+  }
+  size_t exports = 0;
+  do {
+    const DurableDatabaseState st = db.ExportDurableState();
+    ++exports;
+    for (const DurableTableState& ts : st.tables) {
+      for (const std::string& cname : ts.columns) {
+        const auto it = std::find_if(
+            st.columns.begin(), st.columns.end(),
+            [&](const DurableColumnState& cs) {
+              return cs.table == ts.name && cs.column == cname;
+            });
+        if (it == st.columns.end()) {
+          ADD_FAILURE() << "no column state for " << ts.name << "." << cname;
+          continue;
+        }
+        EXPECT_EQ(it->base_ranks.size(), ts.base_rows);
+      }
+    }
+  } while (done.load() < kLoaders);
+  for (std::thread& th : loaders) th.join();
+  EXPECT_GT(exports, 0u);
+  for (int t = 0; t < kLoaders; ++t) {
+    for (int c = 0; c < kColumns; ++c) {
+      const ColumnHandle h =
+          db.Resolve("t" + std::to_string(t), "c" + std::to_string(c));
+      EXPECT_EQ(h.entry()->base_rows(), static_cast<size_t>(64 + t));
+    }
+  }
+  EXPECT_EQ(db.ExportDurableState().tables.size(),
+            static_cast<size_t>(kLoaders));
 }
 
 }  // namespace

@@ -405,6 +405,65 @@ TEST_F(PersistTest, ManifestWithAnInflatedCountIsMalformed) {
   }
 }
 
+// --- Manifest against column images --------------------------------------
+
+/// A two-column table r(a, b) of \p rows rows whose images hold the given
+/// row counts; built by hand, so no files are involved.
+DurableDatabaseState HandBuiltState(uint64_t rows, size_t a_rows,
+                                    size_t b_rows) {
+  DurableDatabaseState st;
+  st.tables.push_back({"r", rows, {"a", "b"}});
+  for (const auto& [name, n] : {std::pair<std::string, size_t>{"a", a_rows},
+                                {"b", b_rows}}) {
+    DurableColumnState cs;
+    cs.table = "r";
+    cs.column = name;
+    cs.base_ranks.assign(n, KeyTraits<int64_t>::ToRank(7));
+    st.columns.push_back(std::move(cs));
+  }
+  return st;
+}
+
+TEST(RestoreManifest, ImageRowCountMustMatchItsTable) {
+  {
+    Database db(ModeOptions(ExecMode::kAdaptive));
+    const DurableDatabaseState st = HandBuiltState(3, 3, 3);
+    db.BeginRestore(st);
+    db.FinishRestore(st);
+    EXPECT_EQ(CountOf(db, db.Resolve("r", "b"), 7, 8), 3u);
+  }
+  // Both images agree with each other but not with the table, then only
+  // the first column disagrees, then only a later one.
+  for (const auto& [a_rows, b_rows] :
+       {std::pair<size_t, size_t>{2, 2}, {2, 3}, {3, 4}}) {
+    SCOPED_TRACE("a=" + std::to_string(a_rows) +
+                 " b=" + std::to_string(b_rows));
+    Database db(ModeOptions(ExecMode::kAdaptive));
+    ExpectRuntimeError(
+        [&] { db.BeginRestore(HandBuiltState(3, a_rows, b_rows)); },
+        "rows, its table lists 3");
+    EXPECT_EQ(db.registry().size(), 0u);  // nothing loaded
+  }
+}
+
+TEST(RestoreManifest, ImageListedByNoTableIsRejected) {
+  Database db(ModeOptions(ExecMode::kAdaptive));
+  DurableDatabaseState st = HandBuiltState(3, 3, 3);
+  st.tables[0].columns = {"a"};
+  ExpectRuntimeError([&] { db.BeginRestore(st); },
+                     "snapshot column r.b is listed by no table");
+  EXPECT_EQ(db.registry().size(), 0u);
+}
+
+TEST(RestoreManifest, ListedColumnWithoutImageIsRejected) {
+  Database db(ModeOptions(ExecMode::kAdaptive));
+  DurableDatabaseState st = HandBuiltState(3, 3, 3);
+  st.tables[0].columns.push_back("c");
+  ExpectRuntimeError([&] { db.BeginRestore(st); },
+                     "snapshot misses column r.c");
+  EXPECT_EQ(db.registry().size(), 0u);
+}
+
 // --- Fault-injected checkpoint --------------------------------------------
 
 TEST_F(PersistTest, FailedCheckpointLeavesThePreviousManifestInForce) {
