@@ -77,8 +77,8 @@ class RotatingInputs {
  public:
   explicit RotatingInputs(size_t n, size_t budget_bytes = size_t{256} << 20)
       : n_(n), base_v_(MakeData<T>(n)), base_i_(n) {
-    std::iota(base_i_.begin(), base_i_.end(), RowId{0});
-    const size_t copy_bytes = n * (sizeof(T) + sizeof(RowId));
+    std::iota(base_i_.begin(), base_i_.end(), CrackRowId{0});
+    const size_t copy_bytes = n * (sizeof(T) + sizeof(CrackRowId));
     size_t copies =
         std::max<size_t>(1, budget_bytes / std::max<size_t>(1, copy_bytes));
     copies = std::min<size_t>(copies, 8);
@@ -92,20 +92,20 @@ class RotatingInputs {
 
   size_t Acquire() { return next_++ % v_.size(); }
   T* values(size_t slot) { return v_[slot].data(); }
-  RowId* rowids(size_t slot) { return ids_[slot].data(); }
+  CrackRowId* rowids(size_t slot) { return ids_[slot].data(); }
   size_t size() const { return n_; }
 
   void Restore(size_t slot) {
     std::memcpy(v_[slot].data(), base_v_.data(), n_ * sizeof(T));
-    std::memcpy(ids_[slot].data(), base_i_.data(), n_ * sizeof(RowId));
+    std::memcpy(ids_[slot].data(), base_i_.data(), n_ * sizeof(CrackRowId));
   }
 
  private:
   size_t n_;
   std::vector<T> base_v_;
-  std::vector<RowId> base_i_;
+  std::vector<CrackRowId> base_i_;
   std::vector<std::vector<T>> v_;
-  std::vector<std::vector<RowId>> ids_;
+  std::vector<std::vector<CrackRowId>> ids_;
   size_t next_ = 0;
 };
 
@@ -128,7 +128,7 @@ void RunKernelBench(benchmark::State& state, size_t n, Fn crack) {
 
 void BM_CrackInTwoScalar(benchmark::State& state) {
   RunKernelBench(state, static_cast<size_t>(state.range(0)),
-                 [](int64_t* v, RowId* ids, size_t n) {
+                 [](int64_t* v, CrackRowId* ids, size_t n) {
                    return CrackInTwoScalar(v, 0, n, kPivot,
                                            [&](size_t i, size_t j) {
                                              std::swap(v[i], v[j]);
@@ -141,7 +141,7 @@ BENCHMARK(BM_CrackInTwoScalar)->Range(1 << 14, 1 << 22)->UseManualTime();
 /// The out-of-place tier: morsel-wise, portable kernel.
 void BM_CrackInTwoOutOfPlace(benchmark::State& state) {
   RunKernelBench(state, static_cast<size_t>(state.range(0)),
-                 [](int64_t* v, RowId* ids, size_t n) {
+                 [](int64_t* v, CrackRowId* ids, size_t n) {
                    return MorselCrackInTwo(v, ids, 0, n, kPivot,
                                            SimdLevel::kPortable);
                  });
@@ -151,7 +151,7 @@ BENCHMARK(BM_CrackInTwoOutOfPlace)->Range(1 << 14, 1 << 22)->UseManualTime();
 /// The SIMD tier: morsel-wise, kernel at the detected level.
 void BM_CrackInTwoSimd(benchmark::State& state) {
   RunKernelBench(state, static_cast<size_t>(state.range(0)),
-                 [](int64_t* v, RowId* ids, size_t n) {
+                 [](int64_t* v, CrackRowId* ids, size_t n) {
                    return MorselCrackInTwo(v, ids, 0, n, kPivot,
                                            DetectSimdLevel());
                  });
@@ -219,13 +219,13 @@ BENCHMARK(BM_SelectRangeConverged);
 /// buffer (at summary N a rotation ring would cost gigabytes; one copy is
 /// DRAM-resident anyway at 2^24 rows).
 template <typename T, typename Fn>
-double BestOf(int reps, std::vector<T>& v, std::vector<RowId>& ids,
-              const std::vector<T>& base_v, const std::vector<RowId>& base_i,
+double BestOf(int reps, std::vector<T>& v, std::vector<CrackRowId>& ids,
+              const std::vector<T>& base_v, const std::vector<CrackRowId>& base_i,
               size_t* cut_out, Fn crack) {
   double best = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
     std::memcpy(v.data(), base_v.data(), base_v.size() * sizeof(T));
-    std::memcpy(ids.data(), base_i.data(), base_i.size() * sizeof(RowId));
+    std::memcpy(ids.data(), base_i.data(), base_i.size() * sizeof(CrackRowId));
     const auto t0 = std::chrono::steady_clock::now();
     const size_t cut = crack(v.data(), ids.data(), v.size());
     const auto t1 = std::chrono::steady_clock::now();
@@ -243,14 +243,14 @@ template <typename T>
 double AddTypedRows(ReportTable& table, const std::string& suffix, size_t n,
                     int reps) {
   const auto base_v = MakeData<T>(n);
-  std::vector<RowId> base_i(n);
-  std::iota(base_i.begin(), base_i.end(), RowId{0});
+  std::vector<CrackRowId> base_i(n);
+  std::iota(base_i.begin(), base_i.end(), CrackRowId{0});
   auto v = base_v;
   auto ids = base_i;
   size_t cut = 0;
   const double scalar_s =
       BestOf<T>(reps, v, ids, base_v, base_i, &cut,
-                [](T* vv, RowId* ii, size_t nn) {
+                [](T* vv, CrackRowId* ii, size_t nn) {
                   return CrackInTwoScalar(vv, 0, nn, static_cast<T>(kPivot),
                                           [&](size_t i, size_t j) {
                                             std::swap(vv[i], vv[j]);
@@ -260,7 +260,7 @@ double AddTypedRows(ReportTable& table, const std::string& suffix, size_t n,
   table.AddRow({"scalar-" + suffix, FormatSeconds(scalar_s),
                 std::to_string(cut)});
   const double simd_s = BestOf<T>(reps, v, ids, base_v, base_i, &cut,
-                                  [](T* vv, RowId* ii, size_t nn) {
+                                  [](T* vv, CrackRowId* ii, size_t nn) {
                                     return MorselCrackInTwo(
                                         vv, ii, 0, nn, static_cast<T>(kPivot),
                                         DetectSimdLevel());
@@ -287,8 +287,8 @@ void RunSummary() {
               n, reps, threads, SimdLevelName(DetectSimdLevel()));
 
   const auto base_v = MakeData<int64_t>(n);
-  std::vector<RowId> base_i(n);
-  std::iota(base_i.begin(), base_i.end(), RowId{0});
+  std::vector<CrackRowId> base_i(n);
+  std::iota(base_i.begin(), base_i.end(), CrackRowId{0});
   auto v = base_v;
   auto ids = base_i;
   size_t cut = 0;
@@ -299,7 +299,7 @@ void RunSummary() {
 
   const double scalar_s =
       BestOf<int64_t>(reps, v, ids, base_v, base_i, &cut,
-                      [](int64_t* vv, RowId* ii, size_t nn) {
+                      [](int64_t* vv, CrackRowId* ii, size_t nn) {
                         return CrackInTwoScalar(vv, 0, nn, kPivot,
                                                 [&](size_t i, size_t j) {
                                                   std::swap(vv[i], vv[j]);
@@ -310,7 +310,7 @@ void RunSummary() {
 
   const double oop_s =
       BestOf<int64_t>(reps, v, ids, base_v, base_i, &cut,
-                      [](int64_t* vv, RowId* ii, size_t nn) {
+                      [](int64_t* vv, CrackRowId* ii, size_t nn) {
                         return MorselCrackInTwo(vv, ii, 0, nn, kPivot,
                                                 SimdLevel::kPortable);
                       });
@@ -318,7 +318,7 @@ void RunSummary() {
 
   const double simd_s =
       BestOf<int64_t>(reps, v, ids, base_v, base_i, &cut,
-                      [](int64_t* vv, RowId* ii, size_t nn) {
+                      [](int64_t* vv, CrackRowId* ii, size_t nn) {
                         return MorselCrackInTwo(vv, ii, 0, nn, kPivot,
                                                 DetectSimdLevel());
                       });
@@ -331,7 +331,7 @@ void RunSummary() {
     ThreadPool pool(threads);
     const double s =
         BestOf<int64_t>(reps, v, ids, base_v, base_i, &cut,
-                        [&](int64_t* vv, RowId* ii, size_t nn) {
+                        [&](int64_t* vv, CrackRowId* ii, size_t nn) {
                           return MorselCrackInTwo(vv, ii, 0, nn, kPivot,
                                                   DetectSimdLevel(), &pool,
                                                   threads);

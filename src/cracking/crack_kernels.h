@@ -15,7 +15,9 @@
 ///
 /// All kernels partition values and co-move an attached rowid array (and,
 /// for the scalar kernels, arbitrary extra payload arrays via the swap
-/// functor), because cracker columns are (value, rowid) pairs.
+/// functor), because cracker columns are (value, rowid) pairs. The
+/// out-of-place kernels take the cracker's 32-bit rowid lane (CrackRowId),
+/// so a row they move is 12 bytes for an 8-byte key and 8 for int32.
 ///
 /// Ordering goes through KeyTraits<T>::Less, never raw `<`: for integers it
 /// compiles to the identical compare, for doubles it is the engine's total
@@ -100,8 +102,10 @@ inline constexpr size_t kCrackLanePad = 16;
 class CrackScratch {
  public:
   static constexpr size_t kRows = kCrackMorselRows + kCrackLanePad;
-  /// Both streams; the value stream is sized for the widest (8-byte) key.
-  static constexpr size_t kBytes = kRows * (sizeof(uint64_t) + sizeof(RowId));
+  /// Both streams; the value stream is sized for the widest (8-byte) key,
+  /// the rowid stream holds kRows lane rowids.
+  static constexpr size_t kBytes =
+      kRows * (sizeof(uint64_t) + sizeof(CrackRowId));
 
   CrackScratch() = default;
   CrackScratch(const CrackScratch&) = delete;
@@ -119,8 +123,8 @@ class CrackScratch {
     return std::launder(reinterpret_cast<T*>(
         ::new (Data()) std::byte[kRows * sizeof(uint64_t)]));
   }
-  RowId* rowids() {
-    return reinterpret_cast<RowId*>(Data() + kRows * sizeof(uint64_t));
+  CrackRowId* rowids() {
+    return reinterpret_cast<CrackRowId*>(Data() + kRows * sizeof(uint64_t));
   }
 
   /// Bytes held: 0 before the first crack, kBytes from then on.
@@ -166,18 +170,18 @@ inline CrackScratch& ThreadLocalCrackScratch() {
 /// land in reverse input order at the back.
 /// \return the cut: first position whose value is >= pivot.
 template <typename T>
-size_t CrackInTwoOutOfPlace(T* v, RowId* ids, size_t lo, size_t hi, T pivot,
-                            CrackScratch& scratch) {
+size_t CrackInTwoOutOfPlace(T* v, CrackRowId* ids, size_t lo, size_t hi,
+                            T pivot, CrackScratch& scratch) {
   const size_t n = hi - lo;
   assert(n <= kCrackMorselRows);
   if (n == 0) return lo;
   T* vb = scratch.values<T>();
-  RowId* ib = scratch.rowids();
+  CrackRowId* ib = scratch.rowids();
   size_t f = 0;
   size_t b = n - 1;
   for (size_t k = lo; k < hi; ++k) {
     const T x = v[k];
-    const RowId r = ids[k];
+    const CrackRowId r = ids[k];
     // Write to both candidate slots, advance exactly one cursor.
     vb[f] = x;
     ib[f] = r;

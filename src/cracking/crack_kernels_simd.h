@@ -3,9 +3,18 @@
 ///
 /// Runtime-dispatched AVX2 / AVX-512 implementations of the out-of-place
 /// crack-in-two for the three indexable key types (int32, int64, double),
-/// co-moving the rowid array. The hot loop is compare → movemask →
-/// compress-store: AVX2 emulates the compress with a table-driven
-/// cross-lane permute (`vpermd`), AVX-512 uses native `vcompress` stores.
+/// co-moving the cracker's 32-bit rowid lane (CrackRowId). The hot loop is
+/// compare → movemask → compress-store: AVX2 emulates the compress with a
+/// table-driven cross-lane permute (`vpermd`), AVX-512 uses native
+/// `vcompress` stores.
+///
+/// One mask drives both streams. The int32 kernels move keys and rowids at
+/// the same width, so one permute (AVX2, 8 lanes) or one epi32 compress
+/// (AVX-512, 16 lanes) serves both. The int64/double kernels compress 4
+/// rowids with an in-lane 4 x u32 permute (AVX2), or 8 rowids with a zmm
+/// epi32 compress whose upper 8 lanes the mask switches off, stored with an
+/// 8-lane masked store (AVX-512). That is plain AVX512F: dispatch never
+/// reaches an AVX512VL instruction.
 ///
 /// Layout contract — per morsel, the SIMD kernels produce *byte-identical*
 /// output to `CrackInTwoOutOfPlace`: lows keep input order at the front of
@@ -132,7 +141,7 @@ namespace simd_internal {
 template <typename T>
 struct Streams {
   T* high_v;
-  RowId* high_i;
+  CrackRowId* high_i;
 };
 
 /// The scratch streams for one morsel of \p n rows. The kernels' full-vector
@@ -149,11 +158,11 @@ Streams<T> PrepareStreams(CrackScratch& scratch, size_t n) {
 /// in place at the low cursor (f <= k always, and v[lo+k] is read into x
 /// before the store can land on it); highs keep streaming into scratch.
 template <typename T>
-void ScalarTail(T* v, RowId* ids, size_t lo, size_t n, size_t k, T pivot,
-                const Streams<T>& st, size_t& f, size_t& h) {
+void ScalarTail(T* v, CrackRowId* ids, size_t lo, size_t n, size_t k,
+                T pivot, const Streams<T>& st, size_t& f, size_t& h) {
   for (; k < n; ++k) {
     const T x = v[lo + k];
-    const RowId r = ids[lo + k];
+    const CrackRowId r = ids[lo + k];
     if (KeyTraits<T>::Less(x, pivot)) {
       v[lo + f] = x;
       ids[lo + f] = r;
@@ -199,9 +208,9 @@ __attribute__((target("avx2"))) inline void ReverseCopy32(
 /// Copies the high stream back reversed into the piece tail — exactly the
 /// layout CrackInTwoOutOfPlace leaves behind (lows are already in place).
 template <typename T>
-size_t CopyBack(T* v, RowId* ids, size_t lo, size_t n, const Streams<T>& st,
-                size_t f, size_t h) {
-  static_assert(sizeof(RowId) == 8);
+size_t CopyBack(T* v, CrackRowId* ids, size_t lo, size_t n,
+                const Streams<T>& st, size_t f, size_t h) {
+  static_assert(sizeof(CrackRowId) == 4);
   if constexpr (sizeof(T) == 8) {
     ReverseCopy64(reinterpret_cast<const uint64_t*>(st.high_v),
                   reinterpret_cast<uint64_t*>(v + lo + n - h), h);
@@ -210,7 +219,7 @@ size_t CopyBack(T* v, RowId* ids, size_t lo, size_t n, const Streams<T>& st,
     ReverseCopy32(reinterpret_cast<const uint32_t*>(st.high_v),
                   reinterpret_cast<uint32_t*>(v + lo + n - h), h);
   }
-  ReverseCopy64(st.high_i, ids + lo + n - h, h);
+  ReverseCopy32(st.high_i, ids + lo + n - h, h);
   return lo + f;
 }
 
@@ -259,10 +268,20 @@ __attribute__((target("avx2"))) inline __m256i Lut4Perm(unsigned mask) {
       reinterpret_cast<const __m256i*>(kCompressLut4.idx[mask]));
 }
 
+/// Compresses the rowids of a 4-key vector: a 4 x u32 in-lane permute
+/// (vpermilps, bitwise) by the first four indices of the 8-lane table,
+/// which for a 4-bit mask only name lanes 0-3.
+__attribute__((target("avx2"))) inline __m128i CompressIds4(__m128i r,
+                                                           unsigned mask) {
+  const __m128i idx = _mm_load_si128(
+      reinterpret_cast<const __m128i*>(kCompressLut8.idx[mask]));
+  return _mm_castps_si128(_mm_permutevar_ps(_mm_castsi128_ps(r), idx));
+}
+
 // ---------------------------------------------------------------- AVX2 --
 
 __attribute__((target("avx2"))) inline size_t CrackAvx2(
-    int32_t* v, RowId* ids, size_t lo, size_t hi, int32_t pivot,
+    int32_t* v, CrackRowId* ids, size_t lo, size_t hi, int32_t pivot,
     CrackScratch& scratch) {
   const size_t n = hi - lo;
   const Streams<int32_t> st = PrepareStreams<int32_t>(scratch, n);
@@ -275,32 +294,23 @@ __attribute__((target("avx2"))) inline size_t CrackAvx2(
                  _MM_HINT_T0);
     const __m256i x = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(v + lo + k));
-    const __m256i ra = _mm256_loadu_si256(
+    const __m256i r = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(ids + lo + k));
-    const __m256i rb = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(ids + lo + k + 4));
     // Lane i set iff v[i] < pivot (signed), == KeyTraits<int32_t>::Less.
     const unsigned m = static_cast<unsigned>(_mm256_movemask_ps(
         _mm256_castsi256_ps(_mm256_cmpgt_epi32(pv, x))));
     const unsigned mn = ~m & 0xFFu;
+    // Keys and rowids are both 8 x 32 bits: one permute per side serves
+    // both streams.
+    const __m256i pl = Lut8Perm(m), ph = Lut8Perm(mn);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(v + lo + f),
-                        _mm256_permutevar8x32_epi32(x, Lut8Perm(m)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(st.high_v + h),
-                        _mm256_permutevar8x32_epi32(x, Lut8Perm(mn)));
-    // Rowids are 64-bit: compress each 4-lane nibble separately, the second
-    // store starting where the first nibble's survivors ended.
-    const unsigned m_a = m & 0xFu, m_b = (m >> 4) & 0xFu;
-    const unsigned n_a = mn & 0xFu, n_b = (mn >> 4) & 0xFu;
+                        _mm256_permutevar8x32_epi32(x, pl));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(ids + lo + f),
-                        _mm256_permutevar8x32_epi32(ra, Lut4Perm(m_a)));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(ids + lo + f + __builtin_popcount(m_a)),
-        _mm256_permutevar8x32_epi32(rb, Lut4Perm(m_b)));
+                        _mm256_permutevar8x32_epi32(r, pl));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(st.high_v + h),
+                        _mm256_permutevar8x32_epi32(x, ph));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(st.high_i + h),
-                        _mm256_permutevar8x32_epi32(ra, Lut4Perm(n_a)));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(st.high_i + h + __builtin_popcount(n_a)),
-        _mm256_permutevar8x32_epi32(rb, Lut4Perm(n_b)));
+                        _mm256_permutevar8x32_epi32(r, ph));
     const size_t c = static_cast<size_t>(__builtin_popcount(m));
     f += c;
     h += 8 - c;
@@ -310,7 +320,7 @@ __attribute__((target("avx2"))) inline size_t CrackAvx2(
 }
 
 __attribute__((target("avx2"))) inline size_t CrackAvx2(
-    int64_t* v, RowId* ids, size_t lo, size_t hi, int64_t pivot,
+    int64_t* v, CrackRowId* ids, size_t lo, size_t hi, int64_t pivot,
     CrackScratch& scratch) {
   const size_t n = hi - lo;
   const Streams<int64_t> st = PrepareStreams<int64_t>(scratch, n);
@@ -323,20 +333,19 @@ __attribute__((target("avx2"))) inline size_t CrackAvx2(
                  _MM_HINT_T0);
     const __m256i x = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(v + lo + k));
-    const __m256i r = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(ids + lo + k));
+    const __m128i r =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ids + lo + k));
     const unsigned m = static_cast<unsigned>(_mm256_movemask_pd(
         _mm256_castsi256_pd(_mm256_cmpgt_epi64(pv, x))));
     const unsigned mn = ~m & 0xFu;
-    const __m256i pl = Lut4Perm(m), ph = Lut4Perm(mn);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(v + lo + f),
-                        _mm256_permutevar8x32_epi32(x, pl));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(ids + lo + f),
-                        _mm256_permutevar8x32_epi32(r, pl));
+                        _mm256_permutevar8x32_epi32(x, Lut4Perm(m)));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(ids + lo + f),
+                     CompressIds4(r, m));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(st.high_v + h),
-                        _mm256_permutevar8x32_epi32(x, ph));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(st.high_i + h),
-                        _mm256_permutevar8x32_epi32(r, ph));
+                        _mm256_permutevar8x32_epi32(x, Lut4Perm(mn)));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(st.high_i + h),
+                     CompressIds4(r, mn));
     const size_t c = static_cast<size_t>(__builtin_popcount(m));
     f += c;
     h += 4 - c;
@@ -346,7 +355,7 @@ __attribute__((target("avx2"))) inline size_t CrackAvx2(
 }
 
 __attribute__((target("avx2"))) inline size_t CrackAvx2(
-    double* v, RowId* ids, size_t lo, size_t hi, double pivot,
+    double* v, CrackRowId* ids, size_t lo, size_t hi, double pivot,
     CrackScratch& scratch) {
   const size_t n = hi - lo;
   const Streams<double> st = PrepareStreams<double>(scratch, n);
@@ -362,22 +371,21 @@ __attribute__((target("avx2"))) inline size_t CrackAvx2(
     _mm_prefetch(reinterpret_cast<const char*>(ids + lo + k) + 1024,
                  _MM_HINT_T0);
     const __m256d x = _mm256_loadu_pd(v + lo + k);
-    const __m256i r = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(ids + lo + k));
+    const __m128i r =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ids + lo + k));
     const __m256d lt = nan_pivot ? _mm256_cmp_pd(x, x, _CMP_ORD_Q)
                                  : _mm256_cmp_pd(x, pv, _CMP_LT_OQ);
     const unsigned m = static_cast<unsigned>(_mm256_movemask_pd(lt));
     const unsigned mn = ~m & 0xFu;
     const __m256i xi = _mm256_castpd_si256(x);
-    const __m256i pl = Lut4Perm(m), ph = Lut4Perm(mn);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(v + lo + f),
-                        _mm256_permutevar8x32_epi32(xi, pl));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(ids + lo + f),
-                        _mm256_permutevar8x32_epi32(r, pl));
+                        _mm256_permutevar8x32_epi32(xi, Lut4Perm(m)));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(ids + lo + f),
+                     CompressIds4(r, m));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(st.high_v + h),
-                        _mm256_permutevar8x32_epi32(xi, ph));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(st.high_i + h),
-                        _mm256_permutevar8x32_epi32(r, ph));
+                        _mm256_permutevar8x32_epi32(xi, Lut4Perm(mn)));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(st.high_i + h),
+                     CompressIds4(r, mn));
     const size_t c = static_cast<size_t>(__builtin_popcount(m));
     f += c;
     h += 4 - c;
@@ -388,8 +396,29 @@ __attribute__((target("avx2"))) inline size_t CrackAvx2(
 
 // -------------------------------------------------------------- AVX-512 --
 
+/// The low 8 lanes of a zmm: the rowids of one 8-key vector.
+inline constexpr __mmask16 kLow8Lanes = 0x00FF;
+
+/// Loads the 8 rowids of an 8-key vector into the low half of a zmm (a
+/// masked load; the upper half reads as zero).
+__attribute__((target("avx512f"))) inline __m512i LoadIds8(
+    const CrackRowId* p) {
+  return _mm512_maskz_loadu_epi32(kLow8Lanes, p);
+}
+
+/// Compresses the rowids of an 8-key vector under its 8-bit mask and
+/// stores 8 lanes: a zmm epi32 compress whose zero-extended mask switches
+/// the upper 8 lanes off, then a masked store of the low 8 lanes. Plain
+/// AVX512F; the ymm compress would need AVX512VL.
+__attribute__((target("avx512f"))) inline void CompressStoreIds8(
+    CrackRowId* dst, __mmask8 mask, __m512i r) {
+  _mm512_mask_storeu_epi32(
+      dst, kLow8Lanes,
+      _mm512_maskz_compress_epi32(static_cast<__mmask16>(mask), r));
+}
+
 __attribute__((target("avx512f"))) inline size_t CrackAvx512(
-    int32_t* v, RowId* ids, size_t lo, size_t hi, int32_t pivot,
+    int32_t* v, CrackRowId* ids, size_t lo, size_t hi, int32_t pivot,
     CrackScratch& scratch) {
   const size_t n = hi - lo;
   const Streams<int32_t> st = PrepareStreams<int32_t>(scratch, n);
@@ -401,25 +430,17 @@ __attribute__((target("avx512f"))) inline size_t CrackAvx512(
     _mm_prefetch(reinterpret_cast<const char*>(ids + lo + k) + 1024,
                  _MM_HINT_T0);
     const __m512i x = _mm512_loadu_si512(v + lo + k);
-    const __m512i ra = _mm512_loadu_si512(ids + lo + k);
-    const __m512i rb = _mm512_loadu_si512(ids + lo + k + 8);
+    const __m512i r = _mm512_loadu_si512(ids + lo + k);
     const __mmask16 m = _mm512_cmp_epi32_mask(x, pv, _MM_CMPINT_LT);
     const __mmask16 mn = static_cast<__mmask16>(~m);
     // Compress in registers and issue plain full-width stores: vcompress-
     // to-memory microcodes to a slow store on most Xeons. The garbage lanes
     // past each cursor are overwritten by the next store (see file comment).
+    // 16 keys and 16 rowids share one mask.
     _mm512_storeu_si512(v + lo + f, _mm512_maskz_compress_epi32(m, x));
+    _mm512_storeu_si512(ids + lo + f, _mm512_maskz_compress_epi32(m, r));
     _mm512_storeu_si512(st.high_v + h, _mm512_maskz_compress_epi32(mn, x));
-    const __mmask8 m_a = static_cast<__mmask8>(m);
-    const __mmask8 m_b = static_cast<__mmask8>(m >> 8);
-    const __mmask8 n_a = static_cast<__mmask8>(mn);
-    const __mmask8 n_b = static_cast<__mmask8>(mn >> 8);
-    _mm512_storeu_si512(ids + lo + f, _mm512_maskz_compress_epi64(m_a, ra));
-    _mm512_storeu_si512(ids + lo + f + __builtin_popcount(m_a),
-                        _mm512_maskz_compress_epi64(m_b, rb));
-    _mm512_storeu_si512(st.high_i + h, _mm512_maskz_compress_epi64(n_a, ra));
-    _mm512_storeu_si512(st.high_i + h + __builtin_popcount(n_a),
-                        _mm512_maskz_compress_epi64(n_b, rb));
+    _mm512_storeu_si512(st.high_i + h, _mm512_maskz_compress_epi32(mn, r));
     const size_t c = static_cast<size_t>(__builtin_popcount(m));
     f += c;
     h += 16 - c;
@@ -429,7 +450,7 @@ __attribute__((target("avx512f"))) inline size_t CrackAvx512(
 }
 
 __attribute__((target("avx512f"))) inline size_t CrackAvx512(
-    int64_t* v, RowId* ids, size_t lo, size_t hi, int64_t pivot,
+    int64_t* v, CrackRowId* ids, size_t lo, size_t hi, int64_t pivot,
     CrackScratch& scratch) {
   const size_t n = hi - lo;
   const Streams<int64_t> st = PrepareStreams<int64_t>(scratch, n);
@@ -441,14 +462,14 @@ __attribute__((target("avx512f"))) inline size_t CrackAvx512(
     _mm_prefetch(reinterpret_cast<const char*>(ids + lo + k) + 1024,
                  _MM_HINT_T0);
     const __m512i x = _mm512_loadu_si512(v + lo + k);
-    const __m512i r = _mm512_loadu_si512(ids + lo + k);
+    const __m512i r = LoadIds8(ids + lo + k);
     const __mmask8 m = _mm512_cmp_epi64_mask(x, pv, _MM_CMPINT_LT);
     const __mmask8 mn = static_cast<__mmask8>(~m);
     // Register-compress + full-width stores (see the int32 kernel note).
     _mm512_storeu_si512(v + lo + f, _mm512_maskz_compress_epi64(m, x));
-    _mm512_storeu_si512(ids + lo + f, _mm512_maskz_compress_epi64(m, r));
+    CompressStoreIds8(ids + lo + f, m, r);
     _mm512_storeu_si512(st.high_v + h, _mm512_maskz_compress_epi64(mn, x));
-    _mm512_storeu_si512(st.high_i + h, _mm512_maskz_compress_epi64(mn, r));
+    CompressStoreIds8(st.high_i + h, mn, r);
     const size_t c = static_cast<size_t>(__builtin_popcount(m));
     f += c;
     h += 8 - c;
@@ -458,7 +479,7 @@ __attribute__((target("avx512f"))) inline size_t CrackAvx512(
 }
 
 __attribute__((target("avx512f"))) inline size_t CrackAvx512(
-    double* v, RowId* ids, size_t lo, size_t hi, double pivot,
+    double* v, CrackRowId* ids, size_t lo, size_t hi, double pivot,
     CrackScratch& scratch) {
   const size_t n = hi - lo;
   const Streams<double> st = PrepareStreams<double>(scratch, n);
@@ -471,15 +492,15 @@ __attribute__((target("avx512f"))) inline size_t CrackAvx512(
     _mm_prefetch(reinterpret_cast<const char*>(ids + lo + k) + 1024,
                  _MM_HINT_T0);
     const __m512d x = _mm512_loadu_pd(v + lo + k);
-    const __m512i r = _mm512_loadu_si512(ids + lo + k);
+    const __m512i r = LoadIds8(ids + lo + k);
     const __mmask8 m = nan_pivot ? _mm512_cmp_pd_mask(x, x, _CMP_ORD_Q)
                                  : _mm512_cmp_pd_mask(x, pv, _CMP_LT_OQ);
     const __mmask8 mn = static_cast<__mmask8>(~m);
     // Register-compress + full-width stores (see the int32 kernel note).
     _mm512_storeu_pd(v + lo + f, _mm512_maskz_compress_pd(m, x));
-    _mm512_storeu_si512(ids + lo + f, _mm512_maskz_compress_epi64(m, r));
+    CompressStoreIds8(ids + lo + f, m, r);
     _mm512_storeu_pd(st.high_v + h, _mm512_maskz_compress_pd(mn, x));
-    _mm512_storeu_si512(st.high_i + h, _mm512_maskz_compress_epi64(mn, r));
+    CompressStoreIds8(st.high_i + h, mn, r);
     const size_t c = static_cast<size_t>(__builtin_popcount(m));
     f += c;
     h += 8 - c;
@@ -508,7 +529,7 @@ constexpr bool HasVectorCrack(SimdLevel level) {
 /// exactly, so results are deterministic across dispatch levels.
 /// \return the cut: first position whose value is >= pivot.
 template <typename T>
-size_t CrackInTwoSimd(T* v, RowId* ids, size_t lo, size_t hi, T pivot,
+size_t CrackInTwoSimd(T* v, CrackRowId* ids, size_t lo, size_t hi, T pivot,
                       CrackScratch& scratch,
                       SimdLevel level = DetectSimdLevel()) {
 #if HOLIX_SIMD_X86

@@ -57,26 +57,46 @@ struct CrackStats {
 /// The column stores (value, rowid) pairs which cracking physically
 /// reorganizes; an optional set of aligned payload columns is co-moved by
 /// the scalar kernels (sideways-style cracking, used by the TPC-H module).
+/// Rowids are held in the 32-bit lane (CrackRowId): they narrow on the way
+/// in (construction, Ripple inserts, RestorePieces) and widen back to
+/// RowId on the way out (ScanRange, FetchRowIds, RowIdAtUnsafe).
 template <typename T>
 class CrackerColumn {
  public:
+  /// Bytes one cracked row occupies and a crack or scan moves: the key
+  /// plus its lane rowid.
+  static constexpr size_t kRowBytes = sizeof(T) + sizeof(CrackRowId);
+
   /// Builds the cracker column as a copy of \p base with rowids 0..N-1.
   /// This is the copy the first query pays for in adaptive indexing.
+  /// Throws std::length_error for kRowIdLimit rows or more.
   CrackerColumn(std::string name, const std::vector<T>& base)
       : name_(std::move(name)), values_(base) {
+    if (values_.size() >= kRowIdLimit) {
+      throw std::length_error("cracker column of " +
+                              std::to_string(values_.size()) +
+                              " rows exceeds the 32-bit rowid lane");
+    }
     rowids_.resize(values_.size());
-    for (size_t i = 0; i < rowids_.size(); ++i) rowids_[i] = i;
+    for (size_t i = 0; i < rowids_.size(); ++i) rowids_[i] = ToCrackRowId(i);
     InitDomain();
   }
 
   /// Builds from explicit (value, rowid) vectors (tuple order preserved).
+  /// Throws std::out_of_range for a rowid at or above kRowIdLimit.
   CrackerColumn(std::string name, std::vector<T> values,
-                std::vector<RowId> rowids)
-      : name_(std::move(name)),
-        values_(std::move(values)),
-        rowids_(std::move(rowids)) {
-    if (values_.size() != rowids_.size()) {
+                const std::vector<RowId>& rowids)
+      : name_(std::move(name)), values_(std::move(values)) {
+    if (values_.size() != rowids.size()) {
       throw std::invalid_argument("values/rowids length mismatch");
+    }
+    rowids_.reserve(rowids.size());
+    for (const RowId r : rowids) {
+      if (r >= kRowIdLimit) {
+        throw std::out_of_range("rowid " + std::to_string(r) +
+                                " exceeds the 32-bit rowid lane");
+      }
+      rowids_.push_back(ToCrackRowId(r));
     }
     InitDomain();
   }
@@ -268,8 +288,7 @@ class CrackerColumn {
   template <typename Fn>
   void ScanRange(PositionRange range, Fn&& fn) const {
     if (range.begin < range.end) {
-      const uint64_t nbytes = static_cast<uint64_t>(range.size()) *
-                              (sizeof(T) + sizeof(RowId));
+      const uint64_t nbytes = static_cast<uint64_t>(range.size()) * kRowBytes;
       static obs::Counter& scan_bytes =
           obs::MetricsRegistry::Global().GetCounter("holix_scan_bytes_total");
       scan_bytes.Inc(nbytes);
@@ -297,7 +316,9 @@ class CrackerColumn {
         continue;
       }
       const size_t stop = std::min(range.end, cur.end);
-      for (size_t i = pos; i < stop; ++i) fn(values_[i], rowids_[i]);
+      for (size_t i = pos; i < stop; ++i) {
+        fn(values_[i], static_cast<RowId>(rowids_[i]));
+      }
       piece.latch->UnlockRead();
       pos = stop;
     }
@@ -374,10 +395,10 @@ class CrackerColumn {
     const auto del =
         pending_.TakeDeletesInRange(KeyTraits<T>::Lowest(), std::nullopt);
     std::vector<T> ins_values(ins.size());
-    std::vector<RowId> ins_rowids(ins.size());
+    std::vector<CrackRowId> ins_rowids(ins.size());
     for (size_t i = 0; i < ins.size(); ++i) {
       ins_values[i] = ins[i].first;
-      ins_rowids[i] = ins[i].second;
+      ins_rowids[i] = ToCrackRowId(ins[i].second);
     }
     const std::vector<RowRun<T>> runs = {
         {base.data(), nullptr, base.size()},
@@ -387,7 +408,7 @@ class CrackerColumn {
     const std::vector<size_t> dead = ResolveDeletes(runs, del);
 
     std::vector<T> values(rows - dead.size());
-    std::vector<RowId> rowids(values.size());
+    std::vector<CrackRowId> rowids(values.size());
     const MultiwayPartitionResult<T> part = MultiwayPartition(
         runs, dead, pivots, values.data(), rowids.data(), pool);
     values_ = std::move(values);
@@ -671,8 +692,7 @@ class CrackerColumn {
     static obs::Counter& moved = obs::MetricsRegistry::Global().GetCounter(
         "holix_crack_bytes_moved_total");
     cracks.Inc();
-    moved.Inc(static_cast<uint64_t>(end - begin) *
-              (sizeof(T) + sizeof(RowId)));
+    moved.Inc(static_cast<uint64_t>(end - begin) * kRowBytes);
   }
 
   static void CountPiecesCreated(uint32_t n) {
@@ -682,9 +702,11 @@ class CrackerColumn {
     obs::TraceAddPiecesCreated(n);
   }
 
-  /// Crack-in-three fast path: both bounds in one piece, one latch, one
-  /// pass over the data. Returns nullopt when the bounds span pieces (the
-  /// caller falls back to two crack-in-twos).
+  /// Crack-in-three fast path: both bounds in one piece, one latch. The
+  /// out-of-place tiers crack it as two Partition passes at the configured
+  /// tier ([begin, end) at low, then [a, end) at high); kScalar and payload
+  /// columns take the one-pass CrackInThreeScalar. Returns nullopt when the
+  /// bounds span pieces (the caller falls back to two crack-in-twos).
   std::optional<PositionRange> TryCrackInThree(T low, T high,
                                                const CrackConfig& cfg) {
     PieceRef<T> piece = LookupPiece(low);
@@ -711,18 +733,14 @@ class CrackerColumn {
       return std::nullopt;
     }
     size_t a, b;
-    CountCrackKernel(cur.begin, cur.end);
-    if (!payloads_.empty()) {
+    if (payloads_.empty() && cfg.algo != CrackAlgo::kScalar) {
+      a = Partition(cur.begin, cur.end, low, cfg);
+      b = Partition(a, cur.end, high, cfg);
+    } else {
+      CountCrackKernel(cur.begin, cur.end);
       std::tie(a, b) = CrackInThreeScalar(
           values_.data(), cur.begin, cur.end, low, high,
           [this](size_t i, size_t j) { SwapRows(i, j); });
-    } else {
-      std::tie(a, b) = CrackInThreeScalar(
-          values_.data(), cur.begin, cur.end, low, high,
-          [this](size_t i, size_t j) {
-            std::swap(values_[i], values_[j]);
-            std::swap(rowids_[i], rowids_[j]);
-          });
     }
     {
       std::unique_lock<std::shared_mutex> lk(tree_mu_);
@@ -771,8 +789,9 @@ class CrackerColumn {
         break;
       }
     }
+    const CrackRowId lane = ToCrackRowId(rid);
     values_.push_back(v);
-    rowids_.push_back(rid);
+    rowids_.push_back(lane);
     size_t hole = values_.size() - 1;
     for (size_t i = nodes.size(); i-- > j;) {
       const size_t p = nodes[i]->pos;
@@ -782,7 +801,7 @@ class CrackerColumn {
       nodes[i]->pos = p + 1;
     }
     values_[hole] = v;
-    rowids_[hole] = rid;
+    rowids_[hole] = lane;
     row_count_.store(values_.size(), std::memory_order_relaxed);
     if (values_.size() == 1) {
       // First row of a column loaded empty: seed the domain rather than
@@ -840,7 +859,7 @@ class CrackerColumn {
 
   std::string name_;
   std::vector<T> values_;
-  std::vector<RowId> rowids_;
+  std::vector<CrackRowId> rowids_;
   std::vector<std::vector<int64_t>> payloads_;
 
   CrackerIndex<T> index_;

@@ -28,14 +28,17 @@
 namespace holix {
 
 /// A run of input rows: values[i] with rowids[i], or with rowid i when
-/// rowids is null (a base column image).
+/// rowids is null (a base column image). Rowids are the cracker's 32-bit
+/// lane; a base image holds fewer than kRowIdLimit rows.
 template <typename T>
 struct RowRun {
   const T* values = nullptr;
-  const RowId* rowids = nullptr;
+  const CrackRowId* rowids = nullptr;
   size_t rows = 0;
 
-  RowId RowIdAt(size_t i) const { return rowids != nullptr ? rowids[i] : i; }
+  CrackRowId RowIdAt(size_t i) const {
+    return rowids != nullptr ? rowids[i] : ToCrackRowId(i);
+  }
 };
 
 /// Order-preserving integer image of a key: the key itself for integers,
@@ -96,7 +99,7 @@ struct MultiwayPartitionResult {
 template <typename T>
 MultiwayPartitionResult<T> MultiwayPartition(
     const std::vector<RowRun<T>>& runs, const std::vector<size_t>& dead,
-    const std::vector<T>& pivots, T* out_values, RowId* out_rowids,
+    const std::vector<T>& pivots, T* out_values, CrackRowId* out_rowids,
     ThreadPool* pool) {
   using K = SearchKey<T>;
   std::vector<K> keys(pivots.size());

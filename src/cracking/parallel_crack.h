@@ -38,13 +38,14 @@
 namespace holix {
 
 /// Two-way partition of values+rowids in [lo, hi) at \p pivot, morsel by
-/// morsel, with the single-pass kernel at level \p simd. With a \p pool and
-/// \p threads > 1 the morsels run on up to \p threads participants
-/// (including the caller).
+/// morsel, with the single-pass kernel at level \p simd. Rowids are the
+/// cracker's 32-bit lane, so the neutralization swaps move 4 bytes per
+/// rowid. With a \p pool and \p threads > 1 the morsels run on up to
+/// \p threads participants (including the caller).
 /// \return the cut: first position whose value is >= pivot.
 template <typename T>
-size_t MorselCrackInTwo(T* v, RowId* ids, size_t lo, size_t hi, T pivot,
-                        SimdLevel simd, ThreadPool* pool = nullptr,
+size_t MorselCrackInTwo(T* v, CrackRowId* ids, size_t lo, size_t hi,
+                        T pivot, SimdLevel simd, ThreadPool* pool = nullptr,
                         size_t threads = 1) {
   if (HasVectorCrack<T>(simd)) {
     static obs::Counter& simd_ops = obs::MetricsRegistry::Global().GetCounter(

@@ -221,10 +221,17 @@ class ColumnRegistry {
   /// Registers attribute (table, column) and moves \p base into its entry.
   /// The names of a dropped table are free again. Throws
   /// std::invalid_argument when the attribute is already registered or
-  /// when \p base's length differs from the other columns of \p table.
+  /// when \p base's length differs from the other columns of \p table,
+  /// and std::length_error for kRowIdLimit rows or more (the cracker's
+  /// 32-bit rowid lane could not address them).
   template <typename T>
   ColumnHandle Add(const std::string& table, const std::string& column,
                    std::vector<T> base) {
+    if (base.size() >= kRowIdLimit) {
+      throw std::length_error("column " + Key(table, column) + " has " +
+                              std::to_string(base.size()) +
+                              " rows; a table holds fewer than 2^32");
+    }
     auto entry =
         std::make_shared<ColumnEntry>(table, column, ValueTypeOf<T>::value);
     const size_t rows = base.size();

@@ -45,6 +45,16 @@ std::shared_ptr<CrackerColumn<T>> EnsureRestoredCracker(ColumnEntry& e) {
   return cracker;
 }
 
+/// Recovery refuses a durable rowid the cracker's 32-bit lane cannot
+/// hold: such a record was never written by this engine, and narrowing it
+/// would silently alias another row.
+void CheckLoggedRowId(const std::string& key, RowId rid) {
+  if (rid >= kRowIdLimit) {
+    throw std::runtime_error("recovery: rowid " + std::to_string(rid) +
+                             " of " + key + " is at or above 2^32");
+  }
+}
+
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -324,9 +334,11 @@ void Database::BeginRestore(const DurableDatabaseState& state) {
       ColumnHandle h = registry_.Resolve(cs.table, cs.column);
       auto cracker = EnsureRestoredCracker<T>(*h.entry());
       for (const auto& [rid, rank] : cs.appended) {
+        CheckLoggedRowId(h.entry()->key(), rid);
         cracker->pending().AddInsert(KeyTraits<T>::FromRank(rank), rid);
       }
       for (const auto& [rid, rank] : cs.deleted_base) {
+        CheckLoggedRowId(h.entry()->key(), rid);
         cracker->pending().AddDelete(KeyTraits<T>::FromRank(rank), rid);
       }
     });
@@ -354,6 +366,7 @@ void Database::ApplyLoggedUpdate(WalOp op, const std::string& table,
   if (e.type() != type) {
     throw std::runtime_error("wal record type mismatch for " + e.key());
   }
+  CheckLoggedRowId(e.key(), rid);
   DispatchIndexableType(type, [&](auto tag) {
     using T = typename decltype(tag)::type;
     auto cracker = EnsureRestoredCracker<T>(e);

@@ -739,8 +739,16 @@ class CrackingExecutor : public ExecutorBase<CrackingExecutor> {
                                 e.key());
       }
       auto cracker = EnsureCracker<T>(e, qctx);
-      const RowId rid =
-          ctx_.next_rowid->fetch_add(1, std::memory_order_relaxed);
+      // Claim the next rowid unless it would leave the cracker's 32-bit
+      // lane; the claim never advances past the limit.
+      RowId rid = ctx_.next_rowid->load(std::memory_order_relaxed);
+      do {
+        if (rid >= kRowIdLimit) {
+          throw std::length_error("insert into " + e.key() +
+                                  ": rowids are exhausted (limit 2^32)");
+        }
+      } while (!ctx_.next_rowid->compare_exchange_weak(
+          rid, rid + 1, std::memory_order_relaxed));
       cracker->pending().AddInsert(v, rid);
       return rid;
     });

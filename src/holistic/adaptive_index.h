@@ -89,7 +89,7 @@ class CrackerAdaptiveIndex : public AdaptiveIndex {
   size_t NumPieces() const override { return column_->NumPieces(); }
   size_t ElementSize() const override { return sizeof(T); }
   size_t SizeBytes() const override {
-    return column_->size() * (sizeof(T) + sizeof(RowId));
+    return column_->size() * CrackerColumn<T>::kRowBytes;
   }
   const CrackStats& stats() const override { return column_->stats(); }
 

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <bit>
+#include <cassert>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -15,7 +16,28 @@
 namespace holix {
 
 /// Row identifier (position of a tuple within its table). Dense, 0-based.
+/// 64-bit at every boundary: position lists, pending updates, the WAL,
+/// snapshots, the wire and the cracker's scan callbacks.
 using RowId = uint64_t;
+
+/// The cracker's rowid lane. Inside a cracker column every row is a key
+/// plus this 32-bit rowid (12 bytes for an 8-byte key, 8 for int32), so a
+/// crack moves a third less data than with 64-bit rowids. Rowids narrow
+/// into the lane when they enter a cracker and widen back to RowId when
+/// they leave it.
+using CrackRowId = uint32_t;
+
+/// Exclusive bound of every rowid the engine hands out (2^32): a table
+/// holds fewer rows, and an insert or a logged update whose rowid would
+/// reach it is refused, so the lane never truncates.
+inline constexpr uint64_t kRowIdLimit = uint64_t{1} << 32;
+
+/// Narrows \p rid into the cracker's lane. Callers have checked it against
+/// kRowIdLimit (the registry, the insert path and WAL replay enforce it).
+constexpr CrackRowId ToCrackRowId(RowId rid) {
+  assert(rid < kRowIdLimit);
+  return static_cast<CrackRowId>(rid);
+}
 
 /// The value types the engine supports in columns.
 enum class ValueType : uint8_t {

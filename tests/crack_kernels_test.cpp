@@ -20,7 +20,7 @@ namespace {
 
 struct KernelInput {
   std::vector<int64_t> values;
-  std::vector<RowId> ids;
+  std::vector<CrackRowId> ids;
 };
 
 KernelInput MakeInput(size_t n, int64_t domain, uint64_t seed) {

@@ -55,16 +55,33 @@ std::vector<T> RandomKeys(size_t n, uint64_t seed) {
   return v;
 }
 
+/// Lane rowid of row i at the edges of the 32-bit lane: even rows count
+/// down from its last value, 2^32 - 1; odd rows count up from 2^31 - 1,
+/// across the sign bit of an epi32 lane (a sign-extending compress or
+/// widening would corrupt them). Distinct for i < 2^30.
+CrackRowId LaneEdgeId(size_t i) {
+  const uint64_t id = i % 2 == 0 ? kRowIdLimit - 1 - i / 2
+                                 : (uint64_t{1} << 31) - 1 + i / 2;
+  return ToCrackRowId(id);
+}
+
+/// Inverse of LaneEdgeId.
+size_t LaneEdgePosition(CrackRowId id) {
+  return id >= (uint64_t{1} << 31) + (uint64_t{1} << 29)
+             ? 2 * static_cast<size_t>(kRowIdLimit - 1 - id)
+             : 2 * static_cast<size_t>(id - ((uint64_t{1} << 31) - 1)) + 1;
+}
+
 /// Cracks [lo, hi) with CrackInTwoSimd at every testable level and with
 /// CrackInTwoOutOfPlace, and asserts byte-identical arrays + equal cuts.
 template <typename T>
 void ExpectBitIdenticalToOutOfPlace(const std::vector<T>& values, size_t lo,
                                     size_t hi, T pivot) {
-  std::vector<RowId> ids(values.size());
-  for (size_t i = 0; i < ids.size(); ++i) ids[i] = 1000 + i;
+  std::vector<CrackRowId> ids(values.size());
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = LaneEdgeId(i);
 
   std::vector<T> v_ref = values;
-  std::vector<RowId> id_ref = ids;
+  std::vector<CrackRowId> id_ref = ids;
   CrackScratch ref_scratch;
   const size_t cut_ref = CrackInTwoOutOfPlace(v_ref.data(), id_ref.data(), lo,
                                               hi, pivot, ref_scratch);
@@ -76,7 +93,7 @@ void ExpectBitIdenticalToOutOfPlace(const std::vector<T>& values, size_t lo,
 
   for (const SimdLevel level : TestableLevels()) {
     std::vector<T> v = values;
-    std::vector<RowId> id = ids;
+    std::vector<CrackRowId> id = ids;
     CrackScratch scratch;
     const size_t cut =
         CrackInTwoSimd(v.data(), id.data(), lo, hi, pivot, scratch, level);
@@ -230,11 +247,11 @@ TEST(SimdDoubleSpecials, NanPivotCutsBelowAllNans) {
   const size_t ordered = static_cast<size_t>(
       std::count_if(values.begin(), values.end(),
                     [](double d) { return d == d; }));
-  std::vector<RowId> ids(values.size());
+  std::vector<CrackRowId> ids(values.size());
   for (size_t i = 0; i < ids.size(); ++i) ids[i] = i;
   for (const SimdLevel level : TestableLevels()) {
     std::vector<double> v = values;
-    std::vector<RowId> id = ids;
+    std::vector<CrackRowId> id = ids;
     CrackScratch scratch;
     const size_t cut = CrackInTwoSimd(
         v.data(), id.data(), 0, v.size(),
@@ -249,10 +266,10 @@ TEST(SimdDoubleSpecials, NegativeZeroPivotEqualsPositiveZeroPivot) {
   // -0.0 == +0.0 in the total order: both pivots must cut identically.
   const std::vector<double> values = SpecialsHeavyDoubles(256, 9);
   for (const SimdLevel level : TestableLevels()) {
-    std::vector<RowId> ids(values.size());
+    std::vector<CrackRowId> ids(values.size());
     for (size_t i = 0; i < ids.size(); ++i) ids[i] = i;
     std::vector<double> v_pos = values, v_neg = values;
-    std::vector<RowId> id_pos = ids, id_neg = ids;
+    std::vector<CrackRowId> id_pos = ids, id_neg = ids;
     CrackScratch s1, s2;
     const size_t cut_pos = CrackInTwoSimd(v_pos.data(), id_pos.data(), 0,
                                           v_pos.size(), 0.0, s1, level);
@@ -274,7 +291,7 @@ TEST(SimdMetrics, VectorCracksAreCountedOncePerCrack) {
   obs::Counter& ops = obs::MetricsRegistry::Global().GetCounter(
       "holix_crack_simd_ops_total");
   std::vector<int64_t> v = RandomKeys<int64_t>(3 * kCrackMorselRows + 7, 77);
-  std::vector<RowId> ids(v.size());
+  std::vector<CrackRowId> ids(v.size());
   for (size_t i = 0; i < ids.size(); ++i) ids[i] = i;
   const uint64_t before = ops.Value();
   MorselCrackInTwo(v.data(), ids.data(), 0, v.size(), int64_t{100},
@@ -286,12 +303,40 @@ TEST(SimdMetrics, VectorCracksAreCountedOncePerCrack) {
   EXPECT_EQ(ops.Value(), before + 1);
 }
 
+// The first query of a column has both bounds in its one piece; under
+// kSimd it cracks at the SIMD tier (two morsel-wise passes), not with the
+// scalar three-way kernel.
+TEST(SimdMetrics, FirstSelectCracksAtTheConfiguredTier) {
+  if (DetectSimdLevel() == SimdLevel::kPortable) {
+    GTEST_SKIP() << "no vector tier dispatched";
+  }
+  obs::Counter& ops = obs::MetricsRegistry::Global().GetCounter(
+      "holix_crack_simd_ops_total");
+  obs::Counter& cracks =
+      obs::MetricsRegistry::Global().GetCounter("holix_cracks_total");
+  const std::vector<int64_t> base =
+      RandomKeys<int64_t>(3 * kCrackMorselRows + 7, 78);
+  CrackerColumn<int64_t> col("first", base);
+  CrackConfig cfg;
+  cfg.algo = CrackAlgo::kSimd;
+  const uint64_t ops_before = ops.Value();
+  const uint64_t cracks_before = cracks.Value();
+  const PositionRange r = col.SelectRange(100, 900, cfg);
+  EXPECT_EQ(ops.Value(), ops_before + 2);
+  EXPECT_EQ(cracks.Value(), cracks_before + 2);
+  size_t expected = 0;
+  for (const int64_t x : base) expected += (x >= 100 && x < 900) ? 1 : 0;
+  EXPECT_EQ(r.size(), expected);
+  EXPECT_EQ(col.NumPieces(), 3u);
+  EXPECT_TRUE(col.CheckInvariants());
+}
+
 // --- Morsel-wise crack ------------------------------------------------------
 
 template <typename T>
 void CheckPartitioned(const std::vector<T>& original,
                       const std::vector<T>& cracked,
-                      const std::vector<RowId>& ids, size_t lo, size_t hi,
+                      const std::vector<CrackRowId>& ids, size_t lo, size_t hi,
                       size_t cut, T pivot) {
   ASSERT_GE(cut, lo);
   ASSERT_LE(cut, hi);
@@ -323,7 +368,8 @@ TYPED_TEST_SUITE(MorselTierTest, KeyTypes);
 // A piece of several morsels plus a ragged tail: the out-of-place tier (the
 // portable level, in order), the SIMD tier at every level and the parallel
 // tier at 1-4 threads must leave the same bytes, for pivots that send none,
-// ~1%, ~50% and all (all ordered, for doubles) rows low.
+// ~1%, ~50% and all (all ordered, for doubles) rows low. The rowids sit at
+// the lane's edges, from 2^31 - 1 up to 2^32 - 1.
 TYPED_TEST(MorselTierTest, TiersAreByteIdenticalAcrossMorsels) {
   using T = TypeParam;
   const size_t n = 5 * kCrackMorselRows + 13;
@@ -331,26 +377,28 @@ TYPED_TEST(MorselTierTest, TiersAreByteIdenticalAcrossMorsels) {
   std::vector<T> ranked = base;
   std::sort(ranked.begin(), ranked.end(),
             [](T a, T b) { return KeyTraits<T>::Less(a, b); });
-  std::vector<RowId> base_ids(n);
-  for (size_t i = 0; i < n; ++i) base_ids[i] = 7 * i + 3;
+  std::vector<CrackRowId> base_ids(n);
+  for (size_t i = 0; i < n; ++i) base_ids[i] = LaneEdgeId(i);
   ThreadPool pool(3);
   for (const T pivot : {ranked[0], ranked[n / 100], ranked[n / 2],
                         KeyTraits<T>::Highest()}) {
     std::vector<T> v_ref = base;
-    std::vector<RowId> id_ref = base_ids;
+    std::vector<CrackRowId> id_ref = base_ids;
     const size_t cut_ref = MorselCrackInTwo(v_ref.data(), id_ref.data(), 0, n,
                                             pivot, SimdLevel::kPortable);
     size_t expected = 0;
     for (const T x : base) expected += KeyTraits<T>::Less(x, pivot) ? 1 : 0;
     ASSERT_EQ(cut_ref, expected);
-    std::vector<RowId> positions(n);
-    for (size_t i = 0; i < n; ++i) positions[i] = (id_ref[i] - 3) / 7;
+    std::vector<CrackRowId> positions(n);
+    for (size_t i = 0; i < n; ++i) {
+      positions[i] = ToCrackRowId(LaneEdgePosition(id_ref[i]));
+    }
     CheckPartitioned<T>(base, v_ref, positions, 0, n, cut_ref, pivot);
 
     for (const SimdLevel level : TestableLevels()) {
       for (size_t threads = 1; threads <= 4; ++threads) {
         std::vector<T> v = base;
-        std::vector<RowId> id = base_ids;
+        std::vector<CrackRowId> id = base_ids;
         const size_t cut = MorselCrackInTwo(v.data(), id.data(), 0, n, pivot,
                                             level, &pool, threads);
         ASSERT_EQ(cut, cut_ref)
@@ -364,8 +412,9 @@ TYPED_TEST(MorselTierTest, TiersAreByteIdenticalAcrossMorsels) {
 }
 
 // The same identity through CrackerColumn's Partition: every out-of-place
-// CrackAlgo leaves the same column bytes after the same refinements and
-// query. Each pivot splits a piece of several morsels.
+// CrackAlgo leaves the same column bytes after the same queries and
+// refinements. Each pivot splits a piece of several morsels; the first
+// query's bounds both fall in the one uncracked piece.
 TYPED_TEST(MorselTierTest, CrackerColumnTiersAreByteIdentical) {
   using T = TypeParam;
   const size_t n = 5 * kCrackMorselRows + 13;
@@ -380,6 +429,7 @@ TYPED_TEST(MorselTierTest, CrackerColumnTiersAreByteIdentical) {
     cfg.algo = algo;
     cfg.pool = &pool;
     cfg.parallel_threads = threads;
+    col.SelectRange(ranked[n / 3], ranked[2 * n / 3], cfg);
     for (const size_t rank : {n / 2, n / 4, 3 * n / 4}) {
       EXPECT_TRUE(col.TryRefineAt(ranked[rank], cfg)) << rank;
     }
@@ -415,7 +465,7 @@ TEST(MorselParallelCrack, ManyMorselsMatchOracle) {
     ThreadPool pool(threads);
     std::vector<int64_t> base = RandomKeys<int64_t>(n, threads * 131);
     std::vector<int64_t> v = base;
-    std::vector<RowId> ids(n);
+    std::vector<CrackRowId> ids(n);
     for (size_t i = 0; i < n; ++i) ids[i] = i;
     const int64_t pivot = 123;
     const size_t cut = MorselCrackInTwo(v.data(), ids.data(), 0, n, pivot,
@@ -432,7 +482,7 @@ TEST(MorselParallelCrack, SubrangeWithDoubleSpecials) {
   ThreadPool pool(4);
   std::vector<double> base = SpecialsHeavyDoubles(n, 21);
   std::vector<double> v = base;
-  std::vector<RowId> ids(n);
+  std::vector<CrackRowId> ids(n);
   for (size_t i = 0; i < n; ++i) ids[i] = i;
   const size_t lo = 1003, hi = n - 777;
   const double pivot = 0.0;
@@ -459,7 +509,7 @@ TEST(MorselParallelCrack, MorselMetricsAdvance) {
   ThreadPool pool(4);
   const size_t n = 8 * kCrackMorselRows;
   std::vector<int64_t> v = RandomKeys<int64_t>(n, 5);
-  std::vector<RowId> ids(n);
+  std::vector<CrackRowId> ids(n);
   for (size_t i = 0; i < n; ++i) ids[i] = i;
   MorselCrackInTwo(v.data(), ids.data(), 0, n, int64_t{0}, DetectSimdLevel(),
                    &pool, 4);
@@ -473,7 +523,7 @@ TEST(MorselParallelCrack, MorselMetricsAdvance) {
 // large the piece, and a thread's scratch is released when it exits.
 TEST(CrackScratchBound, NoThreadExceedsOneMorselPlusPadding) {
   constexpr double kPerThreadBound =
-      (kCrackMorselRows + 64) * (sizeof(int64_t) + sizeof(RowId));
+      (kCrackMorselRows + 64) * (sizeof(int64_t) + sizeof(CrackRowId));
   obs::Gauge& live = obs::MetricsRegistry::Global().GetGauge(
       "holix_crack_scratch_bytes");
   const size_t n = size_t{1} << 20;

@@ -311,6 +311,144 @@ TYPED_TEST(TypedCrackerTest, RestorePiecesRejectsBadPreconditions) {
                std::logic_error);
 }
 
+// --- The 32-bit rowid lane ------------------------------------------------
+
+/// Rowid i at the edges of the cracker's 32-bit lane: even i count down
+/// from its last value, 2^32 - 1; odd i count up from 2^31 - 1, across the
+/// sign bit of an epi32 lane. Distinct for i < 2^30.
+RowId LaneEdgeRowId(size_t i) {
+  return i % 2 == 0 ? kRowIdLimit - 1 - i / 2 : (RowId{1} << 31) - 1 + i / 2;
+}
+
+/// Sorted (rank, rowid) pairs of rows.
+template <typename T>
+std::vector<std::pair<uint64_t, RowId>> Ranked(
+    const std::vector<std::pair<T, RowId>>& rows) {
+  std::vector<std::pair<uint64_t, RowId>> out;
+  for (const auto& [v, r] : rows) out.emplace_back(KeyTraits<T>::ToRank(v), r);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The rows \p range of \p col hands out, as widened 64-bit rowids.
+template <typename T>
+std::vector<std::pair<T, RowId>> ScannedRows(const CrackerColumn<T>& col,
+                                             PositionRange range) {
+  std::vector<std::pair<T, RowId>> out;
+  col.ScanRange(range, [&](T v, RowId r) { out.emplace_back(v, r); });
+  return out;
+}
+
+/// The oracle: the rows of \p live with lo <= value < hi.
+template <typename T>
+std::vector<std::pair<T, RowId>> RowsIn(
+    const std::vector<std::pair<T, RowId>>& live, T lo, T hi) {
+  std::vector<std::pair<T, RowId>> out;
+  for (const auto& row : live) {
+    if (!KeyTraits<T>::Less(row.first, lo) &&
+        KeyTraits<T>::Less(row.first, hi)) {
+      out.push_back(row);
+    }
+  }
+  return out;
+}
+
+// Rowids from 2^31 - 1 up to 2^32 - 1 come back whole through every crack
+// tier, FetchRowIds and Ripple inserts and deletes.
+TYPED_TEST(TypedCrackerTest, LaneEdgeRowIdsSurviveCracksAndRippleMerges) {
+  using T = TypeParam;
+  const size_t n = 3 * kCrackMorselRows + 5;
+  const auto values = this->MakeUniform(n, 1 << 16, 21);
+  std::vector<RowId> rowids(n);
+  std::vector<std::pair<T, RowId>> rows(n);
+  for (size_t i = 0; i < n; ++i) {
+    rowids[i] = LaneEdgeRowId(i);
+    rows[i] = {values[i], rowids[i]};
+  }
+  const T lo = static_cast<T>(1000), hi = static_cast<T>(20000);
+  ThreadPool pool(3);
+  for (const CrackAlgo algo : {CrackAlgo::kScalar, CrackAlgo::kOutOfPlace,
+                               CrackAlgo::kSimd, CrackAlgo::kParallel}) {
+    SCOPED_TRACE(CrackAlgoName(algo));
+    CrackerColumn<T> col("a", values, rowids);
+    CrackConfig cfg;
+    cfg.algo = algo;
+    cfg.pool = &pool;
+    cfg.parallel_threads = 4;
+    auto live = rows;
+    // The first select: both bounds in the one piece.
+    PositionRange r = col.SelectRange(lo, hi, cfg);
+    EXPECT_EQ(Ranked(ScannedRows(col, r)), Ranked(RowsIn(live, lo, hi)));
+    PositionList fetched = col.FetchRowIds(r);
+    std::sort(fetched.begin(), fetched.end());
+    PositionList expected;
+    for (const auto& row : RowsIn(live, lo, hi)) expected.push_back(row.second);
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(fetched, expected);
+
+    // Ripple: inserts with fresh rowids between the two edge runs, and
+    // deletes of edge rows from both runs.
+    for (size_t k = 0; k < 40; ++k) {
+      const T v = static_cast<T>(500 + 997 * k);
+      const RowId rid = (RowId{1} << 31) + n + k;
+      col.pending().AddInsert(v, rid);
+      live.emplace_back(v, rid);
+    }
+    for (const size_t i : {size_t{0}, size_t{1}, size_t{2}, size_t{3},
+                           n / 2, n - 1}) {
+      col.pending().AddDelete(values[i], rowids[i]);
+      live.erase(std::find(live.begin(), live.end(), rows[i]));
+    }
+    const T top = static_cast<T>(1 << 16);
+    r = col.SelectRange(static_cast<T>(0), top, cfg);
+    EXPECT_EQ(col.pending().PendingInserts(), 0u);
+    EXPECT_EQ(col.pending().PendingDeletes(), 0u);
+    EXPECT_EQ(Ranked(ScannedRows(col, r)), Ranked(live));
+    // A select whose bounds span pieces after the merge.
+    r = col.SelectRange(static_cast<T>(300), static_cast<T>(30000), cfg);
+    EXPECT_EQ(Ranked(ScannedRows(col, r)),
+              Ranked(RowsIn(live, static_cast<T>(300), static_cast<T>(30000))));
+    EXPECT_TRUE(col.CheckInvariants());
+  }
+}
+
+// RestorePieces narrows pending inserts into the lane and widens them back
+// whole; deletes of edge rowids remove exactly their rows.
+TYPED_TEST(TypedCrackerTest, RestorePiecesKeepsLaneEdgeRowIds) {
+  using T = TypeParam;
+  RestoreCase<T> c;
+  c.base = this->MakeUniform(5000, 1 << 16, 22);
+  Rng rng(23);
+  for (size_t k = 0; k < 64; ++k) {
+    c.inserts.emplace_back(static_cast<T>(rng.Below(1 << 16)),
+                           LaneEdgeRowId(k));
+  }
+  c.deletes = {{c.base[7], 7},
+               {c.inserts[4].first, c.inserts[4].second},
+               {c.inserts[5].first, c.inserts[5].second},
+               {c.inserts[0].first, c.inserts[0].second}};
+  c.pivots = SortedDistinctPivots<T>(16, 1 << 16, 24);
+  ExpectRestoresAgree(c);
+
+  std::vector<std::pair<T, RowId>> live;
+  for (size_t i = 0; i < c.base.size(); ++i) {
+    if (i != 7) live.emplace_back(c.base[i], i);
+  }
+  for (size_t k = 0; k < c.inserts.size(); ++k) {
+    if (k != 0 && k != 4 && k != 5) live.push_back(c.inserts[k]);
+  }
+  const auto col = RestoreInOnePass(c, nullptr);
+  EXPECT_EQ(Ranked(ScannedRows(*col, {0, col->size()})), Ranked(live));
+}
+
+TEST(CrackerLane, ExplicitRowIdsPastTheLaneAreRejected) {
+  EXPECT_THROW(CrackerColumn<int64_t>("a", {1, 2}, {0, kRowIdLimit}),
+               std::out_of_range);
+  CrackerColumn<int64_t> col("a", {1, 2}, {0, kRowIdLimit - 1});
+  EXPECT_EQ(col.RowIdAtUnsafe(1), kRowIdLimit - 1);
+  EXPECT_EQ(col.FetchRowIds({0, 2}), (PositionList{0, kRowIdLimit - 1}));
+}
+
 TEST(DoubleCrackerRestore, NaNNegZeroAndInfinitiesRestoreLikeCracks) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();

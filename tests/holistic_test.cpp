@@ -115,8 +115,9 @@ TEST(AdaptiveIndex, DistanceShrinksWithRefinement) {
 }
 
 TEST(AdaptiveIndex, SizeBytesAccountsValueAndRowid) {
+  // An 8-byte key plus its 32-bit lane rowid per row.
   auto idx = MakeIndex("r.a", 1000);
-  EXPECT_EQ(idx->SizeBytes(), 1000u * 16u);
+  EXPECT_EQ(idx->SizeBytes(), 1000u * 12u);
 }
 
 // --- Strategies ----------------------------------------------------------
@@ -200,8 +201,9 @@ TEST(StatsStore, OptimalTransitionRemovesFromIndexSpace) {
 }
 
 TEST(StatsStore, BudgetEvictsLeastFrequentlyUsed) {
-  // Each 1000-row index is 16 KB; budget of 40 KB holds two.
-  StatsStore store(Strategy::kW4, 40 * 1024);
+  // Each 1000-row index is 12 KB (8-byte keys, 4-byte lane rowids); a
+  // budget of 30 KB holds two.
+  StatsStore store(Strategy::kW4, 30 * 1024);
   auto hot = MakeIndex("hot", 1000, 1);
   auto cold = MakeIndex("cold", 1000, 2);
   ASSERT_TRUE(store.Register(hot, ConfigKind::kActual));

@@ -464,6 +464,91 @@ TEST(RestoreManifest, ListedColumnWithoutImageIsRejected) {
   EXPECT_EQ(db.registry().size(), 0u);
 }
 
+// --- The 32-bit rowid lane's limit ---------------------------------------
+
+/// HandBuiltState whose next rowid is the lane's last one, 2^32 - 1.
+DurableDatabaseState AtTheRowIdLimit() {
+  DurableDatabaseState st = HandBuiltState(3, 3, 3);
+  st.next_rowid = kRowIdLimit - 1;
+  return st;
+}
+
+TEST(RowIdLimit, InsertPastTheLaneIsRefusedBeforeAnythingIsQueued) {
+  Database db(ModeOptions(ExecMode::kAdaptive));
+  const DurableDatabaseState st = AtTheRowIdLimit();
+  db.BeginRestore(st);
+  db.FinishRestore(st);
+  const ColumnHandle a = db.Resolve("r", "a");
+  EXPECT_EQ(db.InsertScalar(a, 9), kRowIdLimit - 1);
+  EXPECT_THROW(db.InsertScalar(a, 9), std::length_error);
+  EXPECT_THROW(db.InsertScalar(a, 10), std::length_error);
+  // The lane's last rowid comes back whole; the refused inserts left no
+  // row, no pending entry and no rowid claim behind.
+  EXPECT_EQ(test::RowIdsOf(db, a, 9, 11), PositionList{kRowIdLimit - 1});
+  const DurableDatabaseState after = db.ExportDurableState();
+  EXPECT_EQ(after.next_rowid, kRowIdLimit);
+  size_t appended = 0;
+  for (const DurableColumnState& cs : after.columns) {
+    appended += cs.appended.size();
+  }
+  EXPECT_EQ(appended, 1u);
+}
+
+TEST(RowIdLimit, ReplayOfARowIdPastTheLaneFailsRecovery) {
+  const uint64_t rank = KeyTraits<int64_t>::ToRank(9);
+  Database db(ModeOptions(ExecMode::kAdaptive));
+  const DurableDatabaseState st = AtTheRowIdLimit();
+  db.BeginRestore(st);
+  db.ApplyLoggedInsert("r", "a", ValueType::kInt64, rank, kRowIdLimit - 1);
+  ExpectRuntimeError(
+      [&] {
+        db.ApplyLoggedInsert("r", "a", ValueType::kInt64, rank, kRowIdLimit);
+      },
+      "rowid 4294967296 of r.a is at or above 2^32");
+  ExpectRuntimeError(
+      [&] {
+        db.ApplyLoggedDelete("r", "b", ValueType::kInt64, rank,
+                             kRowIdLimit + 7);
+      },
+      "rowid 4294967303 of r.b is at or above 2^32");
+  db.FinishRestore(st);
+  EXPECT_EQ(test::RowIdsOf(db, db.Resolve("r", "a"), 9, 10),
+            PositionList{kRowIdLimit - 1});
+}
+
+TEST_F(PersistTest, RowIdLaneLimitHoldsThroughTheWal) {
+  const std::string dir = temp_dir().string();
+  WriteSnapshot(dir, 1, 1, AtTheRowIdLimit());
+  {
+    Database db(ModeOptions(ExecMode::kAdaptive));
+    PersistenceManager pm(db, DirOptions(temp_dir()));
+    ASSERT_TRUE(pm.recovered());
+    const ColumnHandle a = db.Resolve("r", "a");
+    EXPECT_EQ(db.InsertScalar(a, 9), kRowIdLimit - 1);
+    EXPECT_THROW(db.InsertScalar(a, 9), std::length_error);
+  }
+  // Only the accepted insert was logged.
+  {
+    Database db(ModeOptions(ExecMode::kAdaptive));
+    PersistenceManager pm(db, DirOptions(temp_dir()));
+    ASSERT_TRUE(pm.recovered());
+    EXPECT_EQ(test::RowIdsOf(db, db.Resolve("r", "a"), 9, 10),
+              PositionList{kRowIdLimit - 1});
+  }
+  // A logged rowid past the lane fails recovery instead of wrapping to 0.
+  const std::vector<uint64_t> epochs = ListWalEpochs(dir);
+  ASSERT_FALSE(epochs.empty());
+  {
+    WalWriter w(WalPath(dir, epochs.back()), FsyncPolicy::kAlways,
+                /*first_lsn=*/1000);
+    w.Append(WalOp::kInsert, "r", "a", ValueType::kInt64,
+             KeyTraits<int64_t>::ToRank(9), kRowIdLimit);
+  }
+  Database db(ModeOptions(ExecMode::kAdaptive));
+  ExpectRuntimeError([&] { PersistenceManager pm(db, DirOptions(temp_dir())); },
+                     "rowid 4294967296 of r.a is at or above 2^32");
+}
+
 // --- Fault-injected checkpoint --------------------------------------------
 
 TEST_F(PersistTest, FailedCheckpointLeavesThePreviousManifestInForce) {

@@ -192,6 +192,38 @@ TEST(Server, ProjectSumAndUpdatesOverTheWire) {
   server.Stop();
 }
 
+// An insert that would leave the cracker's 32-bit rowid lane comes back
+// as an error frame; the connection and the column stay usable.
+TEST(Server, InsertPastTheRowIdLaneIsAnErrorFrame) {
+  Database db(SmallDbOptions());
+  DurableDatabaseState st;  // r(a): three rows, next rowid 2^32 - 1
+  st.tables.push_back({"r", 3, {"a"}});
+  DurableColumnState cs;
+  cs.table = "r";
+  cs.column = "a";
+  cs.base_ranks.assign(3, KeyTraits<int64_t>::ToRank(7));
+  st.columns.push_back(std::move(cs));
+  st.next_rowid = kRowIdLimit - 1;
+  db.BeginRestore(st);
+  db.FinishRestore(st);
+  HolixServer server(db);
+  server.Start();
+  HolixClient client;
+  client.Connect("127.0.0.1", server.port());
+  const uint64_t sid = client.OpenSession();
+  EXPECT_EQ(client.InsertScalar(sid, "r", "a", 9), kRowIdLimit - 1);
+  try {
+    client.InsertScalar(sid, "r", "a", 9);
+    ADD_FAILURE() << "no error frame";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("rowids are exhausted"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(WireCount(client, sid, "r", "a", 0, 10), 4u);
+  server.Stop();
+}
+
 TEST(Server, DoubleColumnTypedScalarsOverTheWire) {
   // A double attribute served over loopback: f64 bounds select exactly,
   // the sum comes back as a genuine double scalar, and the NaN/-0.0/+inf
